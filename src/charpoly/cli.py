@@ -12,13 +12,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from . import asymptotics as asym
 from . import dualities as dual
 from . import gap as gapmod
 from . import painleve as pain
 from .ensembles import ChargeConfiguration, Ginibre, TruncatedCUE, mc_moment
-from .verify import RunReport, run_verification_suite
+from .verify import RunReport, _result, run_verification_suite
 
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE = 0, 1, 2
 
@@ -41,16 +42,6 @@ def _record(name, route, log_value, extra=None):
     return rec
 
 
-def _check(name, observed, tolerance, detail=""):
-    return {
-        "name": name,
-        "passed": bool(observed <= tolerance) and math.isfinite(observed),
-        "observed": float(observed),
-        "tolerance": float(tolerance),
-        "detail": detail,
-    }
-
-
 def cmd_exact(args) -> RunReport:
     rep = RunReport("exact", vars_of(args), seed=args.seed)
     z = args.z
@@ -67,9 +58,9 @@ def cmd_exact(args) -> RunReport:
             _record("moment", "pv", dual.ginibre_moment_pv(args.n, gamma, z, args.tol))
         )
         logs = [r["log_value"] for r in rep.outputs]
-        rep.checks.append(
-            _check("route_agreement", max(logs) - min(logs), max(1e-6, 10 * args.tol))
-        )
+        rep.checks.append(asdict(
+            _result("route_agreement", max(logs) - min(logs), max(1e-6, 10 * args.tol))
+        ))
     else:
         if args.m is None:
             raise SystemExit("--m is required for the truncated CUE")
@@ -97,7 +88,7 @@ def cmd_exact(args) -> RunReport:
                 )
             )
         logs = [r["log_value"] for r in rep.outputs]
-        rep.checks.append(_check("route_agreement", max(logs) - min(logs), 1e-8))
+        rep.checks.append(asdict(_result("route_agreement", max(logs) - min(logs), 1e-8)))
     return rep
 
 
@@ -136,9 +127,9 @@ def cmd_mc(args) -> RunReport:
     if exact is not None:
         rep.outputs.append(_record("moment", "exact", exact))
         dev = abs(est.mean_shifted - math.exp(exact - est.log_shift))
-        rep.checks.append(
-            _check("mc_within_3_stderr", dev / max(est.stderr_shifted, 1e-300), 3.0)
-        )
+        rep.checks.append(asdict(
+            _result("mc_within_3_stderr", dev / max(est.stderr_shifted, 1e-300), 3.0)
+        ))
     return rep
 
 
@@ -168,7 +159,7 @@ def cmd_gap(args) -> RunReport:
         o = gapmod.gap_oracle(ens, args.x)
         rep.outputs.append(_record("gap_cdf", "oracle", math.log(o) if o > 0 else None,
                                    {"value": o}))
-        rep.checks.append(_check("cdf_vs_oracle", abs(cdf - o), 1e-7))
+        rep.checks.append(asdict(_result("cdf_vs_oracle", abs(cdf - o), 1e-7)))
     return rep
 
 
@@ -208,7 +199,9 @@ def cmd_painleve(args) -> RunReport:
     if ref is not None:
         rep.outputs.append(_record("F", "gap-determinant", math.log(ref) if ref > 0 else None,
                                    {"value": ref}))
-        rep.checks.append(_check("ode_vs_determinant", abs(f - ref), max(1e-6, 10 * args.tol)))
+        rep.checks.append(
+            asdict(_result("ode_vs_determinant", abs(f - ref), max(1e-6, 10 * args.tol)))
+        )
     return rep
 
 
@@ -343,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--ensemble", choices=["ginibre", "tcue"], default="ginibre")
     sp.add_argument("--m", type=int, help="ambient unitary size M (tcue)")
-    sp.add_argument("--k", type=int, help="integer moment order (exponent 2k)")
-    sp.add_argument("--gamma", type=float, help="real exponent gamma")
+    order = sp.add_mutually_exclusive_group(required=True)
+    order.add_argument("--k", type=int, help="integer moment order (exponent 2k)")
+    order.add_argument("--gamma", type=float, help="real exponent gamma")
     sp.add_argument("--z", type=_parse_z, default=complex(0.0), help="'re' or 're,im'")
     sp.set_defaults(func=cmd_exact)
 
@@ -352,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--ensemble", choices=["ginibre", "tcue"], default="ginibre")
     sp.add_argument("--m", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--gamma", type=float)
+    order = sp.add_mutually_exclusive_group(required=True)
+    order.add_argument("--k", type=int)
+    order.add_argument("--gamma", type=float)
     sp.add_argument("--z", type=_parse_z, default=complex(0.0))
     sp.add_argument("--samples", type=int, default=20000)
     sp.set_defaults(func=cmd_mc)

@@ -13,12 +13,14 @@ import math
 
 import numpy as np
 
+from .linalg import logdet
+
 __all__ = ["cluster_points", "log_confluent_vandermonde", "det_ratio", "log_det_ratio"]
 
 CLUSTER_TOL = 1e-8
 
 
-def cluster_points(points, tol: float = CLUSTER_TOL):
+def cluster_points(points):
     """Group nearly-coincident complex points.
 
     Returns (reps, row_cluster, row_order): representative value per cluster,
@@ -29,7 +31,7 @@ def cluster_points(points, tol: float = CLUSTER_TOL):
     for z in points:
         z = complex(z)
         for c, r in enumerate(reps):
-            if abs(z - r) <= tol:
+            if abs(z - r) <= CLUSTER_TOL:
                 row_cluster.append(c)
                 row_order.append(counts[c])
                 counts[c] += 1
@@ -51,9 +53,9 @@ def log_confluent_vandermonde(reps, counts) -> complex:
     return total
 
 
-def _confluent_matrix(x, y, deriv, tol):
-    xr, xc, xo, xn = cluster_points(x, tol)
-    yr, yc, yo, yn = cluster_points(y, tol)
+def _confluent_matrix(x, y, deriv):
+    xr, xc, xo, xn = cluster_points(x)
+    yr, yc, yo, yn = cluster_points(y)
     n = len(x)
     m = np.empty((n, n), dtype=complex)
     for i in range(n):
@@ -62,25 +64,21 @@ def _confluent_matrix(x, y, deriv, tol):
     return m, (xr, xn), (yr, yn)
 
 
-def det_ratio(x, y, deriv, tol: float = CLUSTER_TOL) -> complex:
+def det_ratio(x, y, deriv) -> complex:
     """det{d^p d^q g / p! q!} / (Delta*(x) Delta*(y)) as a plain complex
     number; ``deriv(p, q, a, b)`` must return d_x^p d_y^q g(a, b)/(p! q!)."""
-    m, (xr, xn), (yr, yn) = _confluent_matrix(x, y, deriv, tol)
-    det = complex(np.linalg.det(m))
-    denom = cmath.exp(
-        log_confluent_vandermonde(xr, xn) + log_confluent_vandermonde(yr, yn)
-    )
-    return det / denom
+    return cmath.exp(log_det_ratio(x, y, deriv))
 
 
-def log_det_ratio(x, y, deriv, tol: float = CLUSTER_TOL) -> complex:
+def log_det_ratio(x, y, deriv) -> complex:
     """Complex log of det_ratio, stable for entries with a large dynamic
     range (rows are rescaled before the determinant)."""
-    m, (xr, xn), (yr, yn) = _confluent_matrix(x, y, deriv, tol)
-    scale = np.max(np.abs(m), axis=1)
-    scale[scale == 0.0] = 1.0
-    sign, logabs = np.linalg.slogdet(m / scale[:, None])
-    if sign == 0:
+    m, (xr, xn), (yr, yn) = _confluent_matrix(x, y, deriv)
+    logabs, phase = logdet(m)
+    if logabs == -math.inf:
         return complex(-math.inf, 0.0)
-    logdet = logabs + float(np.sum(np.log(scale))) + cmath.log(sign)
-    return logdet - log_confluent_vandermonde(xr, xn) - log_confluent_vandermonde(yr, yn)
+    return (
+        complex(logabs, phase)
+        - log_confluent_vandermonde(xr, xn)
+        - log_confluent_vandermonde(yr, yn)
+    )

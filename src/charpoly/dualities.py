@@ -19,6 +19,7 @@ from scipy import special as _sp
 from . import confluent as _confluent
 from . import gap as _gap
 from . import painleve as _painleve
+from .linalg import logdet
 
 __all__ = [
     "GinibreWeight",
@@ -220,12 +221,10 @@ def _log_toeplitz_det(coeff_fn, n: int) -> float:
         )
     c = {m: coeff_fn(m) for m in range(-(n - 1), n)}
     t = np.array([[c[i - j] for j in range(n)] for i in range(n)])
-    scale = np.max(np.abs(t), axis=1)
-    scale[scale == 0.0] = 1.0
-    sign, logabs = np.linalg.slogdet(t / scale[:, None])
-    if sign <= 0:
+    logabs, phase = logdet(t)
+    if phase != 0.0 or logabs == -math.inf:
         raise FloatingPointError("Toeplitz determinant lost positivity")
-    return float(logabs + np.sum(np.log(scale)))
+    return logabs
 
 
 def ginibre_moment_toeplitz(n: int, gamma: float, z: complex) -> float:
@@ -347,11 +346,7 @@ def tcue_moment_exact(
         return _quad_complex(f, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=400)
 
     mat = np.array([[entry(i, j) for j in range(k)] for i in range(k)])
-    scale = np.max(np.abs(mat), axis=1)
-    scale[scale == 0.0] = 1.0
-    sign, logabs = np.linalg.slogdet(mat / scale[:, None])
-    logdet = logabs + float(np.sum(np.log(scale)))
-    phase = cmath.phase(sign)
+    logabs, phase = logdet(mat)
     if abs(phase) > 1e-8:
         raise FloatingPointError(
             f"tcue moment is not positive real (phase {phase:.2e}); "
@@ -359,7 +354,7 @@ def tcue_moment_exact(
         )
     out = float(
         _sp.gammaln(k + 1)
-        + logdet
+        + logabs
         - _gap.log_norm_constant(_gap.JUE(k, kap + n, 0.0))
     )
     z2 = (complex(x) * complex(y).conjugate()).real
@@ -458,52 +453,25 @@ def lemniscate_partition(n: int, d: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _kernel_coeffs(w: RadialWeightSpec, nterms: int) -> np.ndarray:
-    """1/h_j for j = 0..nterms-1 (B(x,y) = sum_j x^j y^j / h_j)."""
+    """ln(1/h_j) for j = 0..nterms-1 (B(x,y) = sum_j x^j y^j / h_j)."""
     j = np.arange(nterms, dtype=float)
     if isinstance(w, GinibreWeight):
-        lo = (j + 1.0) * math.log(w.n) - math.log(math.pi) - _sp.gammaln(j + 1.0)
-        return np.exp(lo)
+        return (j + 1.0) * math.log(w.n) - math.log(math.pi) - _sp.gammaln(j + 1.0)
     if isinstance(w, InducedGinibre):
-        lo = (
+        return (
             (j + w.gamma1 + 1.0) * math.log(w.n)
             - math.log(math.pi)
             - _sp.gammaln(j + w.gamma1 + 1.0)
         )
-        return np.exp(lo)
     if isinstance(w, TruncatedCUEWeight):
         kap = w.m - w.n
-        lo = (
+        return (
             _sp.gammaln(j + kap + 1.0)
             - math.log(math.pi)
             - _sp.gammaln(j + 1.0)
             - _sp.gammaln(float(kap))
         )
-        return np.exp(lo)
     raise TypeError(f"unknown weight {w!r}")
-
-
-def _log_h_tail(w: RadialWeightSpec, k: int) -> float:
-    """ln prod_{j=0}^{k-1} h_{j+N}."""
-    n = w.n
-    total = 0.0
-    for j in range(n, n + k):
-        if isinstance(w, GinibreWeight):
-            total += math.log(math.pi) - (j + 1.0) * math.log(n) + _sp.gammaln(j + 1.0)
-        elif isinstance(w, InducedGinibre):
-            total += (
-                math.log(math.pi)
-                - (j + w.gamma1 + 1.0) * math.log(n)
-                + _sp.gammaln(j + w.gamma1 + 1.0)
-            )
-        elif isinstance(w, TruncatedCUEWeight):
-            kap = w.m - w.n
-            total += (
-                math.log(math.pi)
-                + _sp.gammaln(j + 1.0)
-                + _sp.gammaln(float(kap))
-                - _sp.gammaln(j + kap + 1.0)
-            )
-    return total
 
 
 def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
@@ -523,7 +491,10 @@ def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
     if k == 0:
         return 0.0  # empty product of characteristic polynomials
     n = w.n
-    coeffs = _kernel_coeffs(w, n + k)
+    # 1/h_j overflows near j ~ N for large N; scale the kernel by
+    # exp(-max ln(1/h_j)) and restore the k-th power in the total
+    lo = _kernel_coeffs(w, n + k)
+    coeffs = np.exp(lo - lo.max())
     powers = np.arange(n + k, dtype=float)
 
     def b_deriv(p, q, a, bb):
@@ -538,9 +509,12 @@ def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
         xs.extend([z] * kk)
         ys.extend([z.conjugate()] * kk)
     logratio = _confluent.log_det_ratio(xs, ys, b_deriv)
-    total = logratio + _log_h_tail(w, k)
-    if abs(math.remainder(total.imag, 2.0 * math.pi)) > 1e-7:
+    total = logratio + k * lo.max() - lo[n:n + k].sum()
+    # terms of B that underflow (N >~ 750 at small |z|) or overflow (large
+    # N|z|^2) leave a non-finite or wrong-phase log; refuse it
+    phase = math.remainder(total.imag, 2.0 * math.pi)
+    if not math.isfinite(total.real) or abs(phase) > 1e-7:
         raise FloatingPointError(
-            f"correlator is not positive real (phase {total.imag:.2e})"
+            f"correlator is not a finite positive real (log {total:.3e})"
         )
     return float(total.real)

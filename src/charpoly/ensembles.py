@@ -26,7 +26,6 @@ __all__ = [
     "sample_haar_unitary",
     "sample_truncated_cue",
     "mc_moment",
-    "operator_norm",
     "worker_count",
 ]
 
@@ -229,23 +228,3 @@ def mc_moment(
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     stderr = math.sqrt(var / n_samples)
     return MCEstimate(log_shift, mean, stderr, n_samples, seed)
-
-
-def operator_norm(a: np.ndarray, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """2-norm of a via power iteration on a^dagger a."""
-    a = np.asarray(a, dtype=np.complex128)
-    h = a.conj().T @ a
-    v = np.ones(h.shape[0], dtype=np.complex128) / math.sqrt(h.shape[0])
-    lam = 0.0
-    for _ in range(max_iter):
-        w = h @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        new = float(np.real(np.vdot(v, h @ v)))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
-            lam = new
-            break
-        lam = new
-    return math.sqrt(max(lam, 0.0))

@@ -1,36 +1,34 @@
-"""Dense complex matrix primitives: log-determinants and small exact
-determinants with a conditioning report."""
-
-from typing import NamedTuple
+"""Dense complex matrix primitives: the row-scaled log-determinant shared by
+the determinant routes, its batched Monte Carlo form, and a cofactor
+oracle."""
 
 import numpy as np
 
-__all__ = ["logdet", "logdet_batch", "det_small", "det_cofactor", "SmallDet"]
-
-_DET_SMALL_MAX = 8
-
-
-class SmallDet(NamedTuple):
-    value: complex
-    cond: float
+__all__ = ["logdet", "logdet_batch", "det_cofactor"]
 
 
 def logdet(a: np.ndarray) -> tuple[float, float]:
     """(log|det A|, arg det A) with the phase in (-pi, pi].
 
-    Singular matrices report log-modulus -inf and phase 0. Backed by LU with
+    Each row is divided by its largest modulus (a zero row keeps scale 1)
+    and the scales are added back in log space, so entries with a large
+    dynamic range keep their relative accuracy.  The input dtype is kept:
+    a real matrix takes a real LU and reports phase 0 or pi.  Singular
+    matrices report log-modulus -inf and phase 0.  Backed by LU with
     partial pivoting (LAPACK via numpy.linalg.slogdet).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"logdet expects a square matrix, got shape {a.shape}")
-    sign, logmod = np.linalg.slogdet(a.astype(np.complex128, copy=False))
+    scale = np.max(np.abs(a), axis=1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    sign, logmod = np.linalg.slogdet(a / scale[:, None])
     if logmod == -np.inf or sign == 0:
         return -np.inf, 0.0
     phase = float(np.angle(sign))
     if phase <= -np.pi:
         phase = np.pi
-    return float(logmod), phase
+    return float(logmod + np.sum(np.log(scale))), phase
 
 
 def logdet_batch(a: np.ndarray) -> np.ndarray:
@@ -41,26 +39,6 @@ def logdet_batch(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     sign, logmod = np.linalg.slogdet(a)
     return np.where(sign == 0, -np.inf, logmod)
-
-
-def det_small(a: np.ndarray) -> SmallDet:
-    """Determinant of an n x n matrix with n <= 8, plus a condition estimate.
-
-    Incomplete-moment matrices turn ill-conditioned quickly as their order
-    grows, so the 2-norm condition number is reported alongside the value.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"det_small expects a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > _DET_SMALL_MAX:
-        raise ValueError(f"det_small supports n <= {_DET_SMALL_MAX}, got n = {n}")
-    value = complex(np.linalg.det(a))
-    try:
-        cond = float(np.linalg.cond(a))
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    return SmallDet(value, cond)
 
 
 def det_cofactor(a: np.ndarray) -> complex:

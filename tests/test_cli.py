@@ -111,6 +111,14 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["exact", "mc"])
+@pytest.mark.parametrize("order", [[], ["--k", "1", "--gamma", "3"]], ids=["neither", "both"])
+def test_order_flags_required_and_exclusive(capsys, command, order):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "8", "--z", "0.5", *order])
+    assert exc.value.code == 2
+
+
 def test_domain_error_exit_code(capsys):
     code = main(["exact", "--ensemble", "ginibre", "--n", "3", "--gamma", "-3.0"])
     assert code == 2

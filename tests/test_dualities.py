@@ -245,6 +245,18 @@ def test_correlator_single_charge_matches_exact():
     ) == pytest.approx(ginibre_moment_exact(6, 2, 0.4), abs=1e-10)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.2, 1.4])
+def test_correlator_large_n_matches_exact(r):
+    # 1/h_j alone overflows near j ~ N here
+    got = correlator_finiteN(GinibreWeight(800), ChargeConfiguration((r,), (4.0,)))
+    assert got == pytest.approx(ginibre_moment_exact(800, 2, r), abs=1e-6)
+
+
+def test_correlator_large_n_small_z_refuses():
+    with pytest.raises(FloatingPointError):
+        correlator_finiteN(GinibreWeight(800), ChargeConfiguration((0.1,), (4.0,)))
+
+
 def test_correlator_two_charges_vs_mc():
     from charpoly.ensembles import Ginibre, mc_moment
 

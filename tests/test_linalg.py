@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpoly.ensembles import _rng, sample_haar_unitary
-from charpoly.linalg import det_cofactor, det_small, logdet, logdet_batch
+from charpoly.linalg import det_cofactor, logdet, logdet_batch
 
 
 def test_logdet_identity():
@@ -24,6 +24,7 @@ def test_logdet_diagonal_phase():
 def test_logdet_singular():
     lm, ph = logdet(np.array([[1.0, 2.0], [2.0, 4.0]]))
     assert lm == -np.inf
+    assert logdet(np.array([[1.0, 2.0], [0.0, 0.0]])) == (-np.inf, 0.0)
 
 
 def test_logdet_nonsquare_rejected():
@@ -54,29 +55,37 @@ def test_det_product_identity(seed):
     n = rng.integers(2, 6)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    da, db = det_small(a).value, det_small(b).value
-    dab = det_small(a @ b).value
-    assert dab == pytest.approx(da * db, rel=1e-10)
+    (la, pa), (lb, pb) = logdet(a), logdet(b)
+    lab, pab = logdet(a @ b)
+    assert lab == pytest.approx(la + lb, rel=1e-10, abs=1e-10)
+    assert abs(math.remainder(pab - pa - pb, 2.0 * math.pi)) < 1e-10
 
 
-def test_det_small_basics():
-    assert det_small(np.array([[3.0 + 1j]])).value == pytest.approx(3.0 + 1j)
-    perm = np.eye(4)[[1, 0, 3, 2]]
-    assert det_small(perm).value == pytest.approx(1.0)
-    perm3 = np.eye(3)[[1, 0, 2]]
-    assert det_small(perm3).value == pytest.approx(-1.0)
+def test_logdet_basics():
+    lm, ph = logdet(np.array([[3.0 + 1j]]))
+    assert lm == pytest.approx(0.5 * math.log(10.0), rel=1e-14)
+    assert ph == pytest.approx(math.atan2(1.0, 3.0), rel=1e-14)
+    assert logdet(np.eye(4)[[1, 0, 3, 2]]) == (0.0, 0.0)
+    assert logdet(np.eye(3)[[1, 0, 2]]) == (0.0, math.pi)
 
 
-def test_det_small_hilbert_vs_cofactor_and_condition():
+def test_logdet_hilbert_vs_cofactor():
     h = np.array([[1.0 / (i + j + 1) for j in range(4)] for i in range(4)])
-    res = det_small(h)
-    assert res.value == pytest.approx(det_cofactor(h), rel=1e-8)
-    assert res.cond > 1e3  # ill-conditioning is reported
+    lm, ph = logdet(h)
+    assert ph == 0.0
+    assert math.exp(lm) == pytest.approx(det_cofactor(h).real, rel=1e-8)
 
 
-def test_det_small_size_limit():
-    with pytest.raises(ValueError):
-        det_small(np.eye(9))
+def test_logdet_row_scaling_keeps_relative_accuracy():
+    # rows 1e400 apart: without row scaling the LU multipliers underflow
+    # and the small rows lose their elimination updates
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    d = np.array([1e200, 1e-200, 1e150, 1.0])
+    lm, ph = logdet(d[:, None] * a)
+    lm0, ph0 = logdet(a)
+    assert lm == pytest.approx(lm0 + float(np.sum(np.log(d))), rel=1e-13)
+    assert ph == pytest.approx(ph0, abs=1e-12)
 
 
 def test_logdet_batch_matches_scalar():
