@@ -63,7 +63,7 @@ def cmd_exact(args) -> RunReport:
         ))
     else:
         if args.m is None:
-            raise SystemExit("--m is required for the truncated CUE")
+            raise ValueError("--m is required for the truncated CUE")
         gamma = args.gamma if args.gamma is not None else 2.0 * args.k
         if args.k is not None:
             rep.outputs.append(
@@ -104,6 +104,8 @@ def cmd_mc(args) -> RunReport:
             dual.ginibre_moment_toeplitz(args.n, gamma, z)
         )
     else:
+        if args.m is None:
+            raise ValueError("--m is required for the truncated CUE")
         spec = TruncatedCUE(args.m, args.n)
         exact = (
             dual.tcue_moment_exact(args.m, args.n, args.k, z, complex(z).conjugate())

@@ -4,6 +4,11 @@ estimation of E prod_i |det(A - z_i)|^{gamma_i}.
 Randomness comes from counter-based Philox streams keyed by (seed, chunk),
 so results are bit-identical for a given seed no matter how many worker
 threads evaluate the chunks.
+
+Truncated-CUE samples QR only the first N of the M drawn Gaussian columns
+(Mezzadri, arXiv:math-ph/0609050), O(M N^2) not O(M^3).  The full M x M
+Gaussian is still drawn so every fixed-seed estimate stays the full-QR one;
+drawing only M x N would save ~0.4 s per benchmark Monte Carlo pass.
 """
 
 import math
@@ -22,9 +27,7 @@ __all__ = [
     "EnsembleSpec",
     "ChargeConfiguration",
     "MCEstimate",
-    "sample_ginibre",
     "sample_haar_unitary",
-    "sample_truncated_cue",
     "mc_moment",
     "worker_count",
 ]
@@ -109,16 +112,13 @@ def _rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk]))
 
 
-def sample_ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One n x n complex Ginibre matrix, E|entry|^2 = 1/n."""
-    return _sample_ginibre_batch(n, 1, rng)[0]
-
-
 def _sample_ginibre_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count n x n complex Ginibre matrices, E|entry|^2 = 1/n."""
     scale = 1.0 / math.sqrt(2.0 * n)
-    re = rng.standard_normal((count, n, n))
-    im = rng.standard_normal((count, n, n))
-    return scale * (re + 1j * im)
+    a = np.empty((count, n, n), dtype=np.complex128)
+    for part in (a.real, a.imag):
+        np.multiply(rng.standard_normal((count, n, n)), scale, out=part)
+    return a
 
 
 def sample_haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,26 +128,26 @@ def sample_haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     return _sample_haar_batch(m, 1, rng)[0]
 
 
-def _sample_haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+def _sample_haar_batch(
+    m: int, count: int, rng: np.random.Generator, n: int | None = None
+) -> np.ndarray:
+    """First n (default m) columns of count Haar U(m) samples.  The whole
+    (count, m, m) Gaussian is drawn, so the stream does not depend on n;
+    column i of the QR depends only on Gaussian columns 0..i."""
+    a = np.empty((count, m, n or m), dtype=np.complex128)
+    for part in (a.real, a.imag):
+        part[...] = rng.standard_normal((count, m, m))[:, :, :n]
     q, r = np.linalg.qr(a)
     d = np.einsum("...ii->...i", r)
-    ph = d / np.abs(d)
-    return q * ph[:, None, :]
-
-
-def sample_truncated_cue(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Upper-left n x n block of a Haar U(m) sample (requires n < m)."""
-    if n >= m:
-        raise ValueError("truncation requires n < m")
-    return sample_haar_unitary(m, rng)[:n, :n]
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 def _sample_batch(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(spec, Ginibre):
         return _sample_ginibre_batch(spec.n, count, rng)
     if isinstance(spec, TruncatedCUE):
-        return _sample_haar_batch(spec.m, count, rng)[:, : spec.n, : spec.n]
+        return _sample_haar_batch(spec.m, count, rng, spec.n)[:, : spec.n]
     raise TypeError(f"unknown ensemble spec {spec!r}")
 
 
@@ -199,18 +199,16 @@ def mc_moment(
     if charges.m == 0:
         return MCEstimate(0.0, 1.0, 0.0, n_samples, seed)
 
-    pts = np.array(charges.points, dtype=np.complex128)
-    gam = np.array(charges.exponents)
-    n = spec.n
-    eye = np.eye(n, dtype=np.complex128)
-
     def run_chunk(c: int) -> tuple[float, float, int]:
-        lo = c * _CHUNK
-        cnt = min(_CHUNK, n_samples - lo)
+        cnt = min(_CHUNK, n_samples - c * _CHUNK)
+        # the samples are this chunk's own: shift their diagonal in place
         a = _sample_batch(spec, cnt, _rng(seed, c))
+        diag = np.einsum("...ii->...i", a)
+        d0 = diag.copy()
         s = np.zeros(cnt)
-        for z, g in zip(pts, gam):
-            s += g * logdet_batch(a - z * eye)
+        for z, g in zip(charges.points, charges.exponents):
+            np.subtract(d0, z, out=diag)
+            s += g * logdet_batch(a)
         vals = np.exp(s - log_shift)
         return float(vals.sum()), float((vals * vals).sum()), cnt
 

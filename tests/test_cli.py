@@ -124,6 +124,13 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["exact", "mc"])
+def test_tcue_without_m_is_usage_error(capsys, command):
+    code = main([command, "--ensemble", "tcue", "--n", "6", "--k", "1", "--z", "0.5"])
+    assert code == 2
+    assert "--m is required" in capsys.readouterr().err
+
+
 def test_painleve_subcommand(capsys):
     code, out = run_cli(
         capsys, "painleve", "--family", "p5", "--k", "1", "--alpha", "2.0",

@@ -9,12 +9,14 @@ from charpoly.ensembles import (
     Ginibre,
     MCEstimate,
     TruncatedCUE,
+    _CHUNK,
     _rng,
+    _sample_batch,
+    _sample_haar_batch,
     mc_moment,
-    sample_ginibre,
     sample_haar_unitary,
-    sample_truncated_cue,
 )
+from charpoly.linalg import logdet_batch
 
 
 def test_charge_configuration_validation():
@@ -31,12 +33,10 @@ def test_spec_validation():
         Ginibre(0)
     with pytest.raises(ValueError):
         TruncatedCUE(4, 4)
-    with pytest.raises(ValueError):
-        sample_truncated_cue(3, 3, _rng(0, 0))
 
 
 def test_ginibre_entry_statistics():
-    draws = np.stack([sample_ginibre(4, _rng(1, i)) for i in range(4000)])
+    draws = np.stack([_sample_batch(Ginibre(4), 1, _rng(1, i))[0] for i in range(4000)])
     second = np.abs(draws) ** 2
     # E|entry|^2 = 1/N with stderr ~ (1/N)/sqrt(count)
     mean = second.mean()
@@ -49,7 +49,7 @@ def test_ginibre_entry_statistics():
 def test_circular_law_spectral_radius():
     radii = []
     for i in range(12):
-        ev = np.linalg.eigvals(sample_ginibre(200, _rng(2, i)))
+        ev = np.linalg.eigvals(_sample_batch(Ginibre(200), 1, _rng(2, i))[0])
         radii.append(np.abs(ev).max())
     assert 0.9 < float(np.mean(radii)) < 1.15
 
@@ -66,17 +66,72 @@ def test_haar_unitarity_and_trace_moment():
 
 def test_truncation_subunitary():
     for i in range(200):
-        t = sample_truncated_cue(4, 2, _rng(5, i))
+        t = _sample_batch(TruncatedCUE(4, 2), 1, _rng(5, i))[0]
         assert np.linalg.norm(t, 2) <= 1.0 + 1e-8
         assert np.max(np.abs(np.linalg.eigvals(t))) < 1.0
 
 
 def test_truncation_second_moment_m2n1():
     vals = [
-        abs(sample_truncated_cue(2, 1, _rng(6, i))[0, 0]) ** 2 for i in range(20000)
+        abs(_sample_batch(TruncatedCUE(2, 1), 1, _rng(6, i))[0][0, 0]) ** 2
+        for i in range(20000)
     ]
     mean, stderr = np.mean(vals), np.std(vals) / math.sqrt(len(vals))
     assert abs(mean - 0.5) < 3 * stderr  # C_{2,1,1} = 1/2
+
+
+def _full_qr_truncation(m, n, count, rng):
+    """The full-QR truncated-CUE sampler: QR of the whole M x M Gaussian,
+    phase fix by R's diagonal, upper-left n x n block."""
+    a = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    q, r = np.linalg.qr(a)
+    d = np.einsum("...ii->...i", r)
+    return (q * (d / np.abs(d))[:, None, :])[:, :n, :n]
+
+
+@pytest.mark.parametrize("m,n", [(64, 8), (8, 6), (4, 2), (2, 1)])
+def test_truncation_bit_identical_to_full_qr(m, n):
+    for s, c in ((1, 0), (2, 3)):
+        got = _sample_batch(TruncatedCUE(m, n), 64, _rng(s, c))
+        assert np.array_equal(got, _full_qr_truncation(m, n, 64, _rng(s, c)))
+
+
+@pytest.mark.parametrize("m,n", [(64, 8), (8, 6), (5, 5), (2, 1)])
+def test_haar_batch_columns_orthonormal(m, n):
+    q = _sample_haar_batch(m, 16, _rng(8, 1), n)
+    assert q.shape == (16, m, n)
+    gram = np.einsum("sji,sjk->sik", q.conj(), q)
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-12
+
+
+def _mc_shifted_reference(spec, charges, n_samples, seed):
+    """mc_moment's mean and stderr, with each charge applied as a - z*eye."""
+    eye = np.eye(spec.n)
+    total = total_sq = 0.0
+    for c in range((n_samples + _CHUNK - 1) // _CHUNK):
+        a = _sample_batch(spec, min(_CHUNK, n_samples - c * _CHUNK), _rng(seed, c))
+        s = np.zeros(a.shape[0])
+        for z, g in zip(charges.points, charges.exponents):
+            s += g * logdet_batch(a - z * eye)
+        vals = np.exp(s)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
+    return mean, math.sqrt(var / n_samples)
+
+
+@pytest.mark.parametrize(
+    "spec,charges",
+    [
+        (Ginibre(8), ChargeConfiguration((0.3, -0.5j, 1.1 + 0.2j, -0.7), (2.0, 1.0, -0.5, 3.0))),
+        (TruncatedCUE(8, 6), ChargeConfiguration((0.4j, -0.6 + 0.1j), (2.0, 1.5))),
+    ],
+)
+def test_mc_multi_charge_matches_shifted_copies(spec, charges):
+    est = mc_moment(spec, charges, 5000, seed=21, log_shift=0.0)
+    ref = _mc_shifted_reference(spec, charges, 5000, 21)
+    assert (est.mean_shifted, est.stderr_shifted) == ref
 
 
 def test_mc_empty_charges_is_exactly_one():
@@ -108,6 +163,10 @@ def test_mc_determinism_and_thread_independence(monkeypatch):
     assert a == b  # bit identical regardless of worker count
     c = mc_moment(Ginibre(3), cc, 9000, seed=43)
     assert c != a
+    monkeypatch.setenv("CHARPOLY_THREADS", "1")
+    a = mc_moment(TruncatedCUE(8, 6), cc, 9000, seed=42)
+    monkeypatch.setenv("CHARPOLY_THREADS", "5")
+    assert mc_moment(TruncatedCUE(8, 6), cc, 9000, seed=42) == a
 
 
 def test_mc_requires_two_samples():
