@@ -84,12 +84,7 @@ def gue_largest_f(k: float, x: float) -> float:
         return 1.0
     if abs(k - round(k)) < 1e-12 and k >= 1:
         return _gap.gap_cdf(_gap.GUE(int(round(k))), x)
-    return _piv_f_cached(float(k), float(x))
-
-
-@lru_cache(maxsize=512)
-def _piv_f_cached(k: float, x: float) -> float:
-    return _painleve.piv_f(k, x)
+    return _painleve.piv_f(float(k), float(x))
 
 
 def ginibre_edge(n: int, k: float, z: complex) -> float:

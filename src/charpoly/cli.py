@@ -2,7 +2,9 @@
 Monte Carlo, gap probabilities, Painleve reconstructions, asymptotic
 expansions, the lemniscate partition function, and the verification suite.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 at least one check failed or a numerical
+refusal (FloatingPointError, SolveError, BranchError), 2 usage error or an
+input outside every route's domain (ValueError).
 """
 
 import argparse
@@ -43,52 +45,41 @@ def _record(name, route, log_value, extra=None):
 
 
 def cmd_exact(args) -> RunReport:
+    """Every exact route for one moment.  A route that refuses its domain
+    (ValueError) is recorded as skipped with its reason; the routes that
+    returned are checked against each other."""
     rep = RunReport("exact", vars_of(args), seed=args.seed)
-    z = args.z
+    z, n, k = args.z, args.n, args.k
+    gamma = args.gamma if args.gamma is not None else 2.0 * k
     if args.ensemble == "ginibre":
-        gamma = args.gamma if args.gamma is not None else 2.0 * args.k
-        if args.k is not None:
-            rep.outputs.append(
-                _record("moment", "exact", dual.ginibre_moment_exact(args.n, args.k, z))
-            )
-        rep.outputs.append(
-            _record("moment", "toeplitz", dual.ginibre_moment_toeplitz(args.n, gamma, z))
-        )
-        rep.outputs.append(
-            _record("moment", "pv", dual.ginibre_moment_pv(args.n, gamma, z, args.tol))
-        )
-        logs = [r["log_value"] for r in rep.outputs]
-        rep.checks.append(asdict(
-            _result("route_agreement", max(logs) - min(logs), max(1e-6, 10 * args.tol))
-        ))
+        routes = [("exact", lambda: dual.ginibre_moment_exact(n, k, z))] if k is not None else []
+        routes += [
+            ("toeplitz", lambda: dual.ginibre_moment_toeplitz(n, gamma, z)),
+            ("pv", lambda: dual.ginibre_moment_pv(n, gamma, z, args.tol)),
+        ]
+        tol = max(1e-6, 10 * args.tol)
     else:
-        if args.m is None:
+        m = args.m
+        if m is None:
             raise ValueError("--m is required for the truncated CUE")
-        gamma = args.gamma if args.gamma is not None else 2.0 * args.k
-        if args.k is not None:
-            rep.outputs.append(
-                _record(
-                    "moment",
-                    "exact",
-                    dual.tcue_moment_exact(args.m, args.n, args.k, z, complex(z).conjugate()),
-                )
-            )
-            if abs(z) < 1:
-                rep.outputs.append(
-                    _record(
-                        "moment",
-                        "exact-jue-factored",
-                        dual.tcue_moment_factored(args.m, args.n, args.k, abs(z)),
-                    )
-                )
-        if abs(z) <= 1:
-            rep.outputs.append(
-                _record(
-                    "moment", "toeplitz", dual.tcue_moment_toeplitz(args.m, args.n, gamma, z)
-                )
-            )
-        logs = [r["log_value"] for r in rep.outputs]
-        rep.checks.append(asdict(_result("route_agreement", max(logs) - min(logs), 1e-8)))
+        routes = [
+            ("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate())),
+            ("exact-jue-factored", lambda: dual.tcue_moment_factored(m, n, k, abs(z))),
+        ] if k is not None else []
+        routes.append(("toeplitz", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z)))
+        tol = 1e-8
+    reasons = []
+    for route, fn in routes:
+        try:
+            rep.outputs.append(_record("moment", route, fn()))
+        except ValueError as exc:
+            rep.outputs.append({"name": "moment", "route": route, "skipped": str(exc)})
+            reasons.append(f"{route}: {exc}")
+    if len(reasons) == len(routes):
+        raise ValueError("every route refused (" + "; ".join(reasons) + ")")
+    logs = [r["log_value"] for r in rep.outputs if "skipped" not in r]
+    if len(logs) >= 2:
+        rep.checks.append(asdict(_result("route_agreement", max(logs) - min(logs), tol)))
     return rep
 
 
@@ -168,9 +159,8 @@ def cmd_gap(args) -> RunReport:
 def cmd_painleve(args) -> RunReport:
     rep = RunReport("painleve", vars_of(args), seed=args.seed)
     if args.family == "p4":
-        fam = pain.PIV(args.k)
-        sol = pain.solve(fam, pain.init_from_asymptote_p4(args.k, 1e4), 8.0, tol=args.tol)
-        f = pain.F_from_sigma(fam, sol, args.x)
+        sol = pain.piv_solution(args.k)
+        f = pain.piv_f(args.k, args.x, tol=args.tol)
         ref = (
             gapmod.gap_cdf(gapmod.GUE(int(args.k)), args.x)
             if abs(args.k - round(args.k)) < 1e-12 and args.k >= 1
@@ -410,9 +400,12 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         report = args.func(args)
-    except (ValueError, FloatingPointError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except (FloatingPointError, pain.SolveError, pain.BranchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_CHECK_FAILED
     if not report.wall_time:
         report.wall_time = time.time() - t0
     text = _to_csv(report) if args.csv else report.to_json()

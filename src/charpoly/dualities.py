@@ -369,6 +369,8 @@ def tcue_moment_exact(
 
 def tcue_moment_factored(m: int, n: int, k: int, absz: float) -> float:
     """The JUE-factored form of ln E|det(T-z)|^{2k} for |z| < 1."""
+    if not 0.0 <= absz < 1.0:
+        raise ValueError("the JUE-factored route requires |z| < 1")
     kap = m - n
     u = 1.0 - absz * absz
     return float(

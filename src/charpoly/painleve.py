@@ -7,16 +7,17 @@ side, so trajectories launched on a root branch stay on it to integrator
 accuracy; branch continuity is then automatic and the conserved residual is
 asserted at every output node.
 
-Launching Painleve IV from its t -> -infinity asymptote is a connection
-problem: the asymptote-consistent solution is a separatrix, and forward
-integration amplifies perturbations like exp(O(t^2)) (a launch at t = -10^3
-loses everything).  ``solve`` therefore realizes asymptote-initialized IV
-solves by shooting on the amplitude of the decaying right tail
-sigma ~ a t^{2k-2} e^{-t^2/2}, integrating backward (the stable direction on
-the evaluation window) and bisecting the pole/flat dichotomy at the left.
-The bisected amplitude matches 1/(Gamma(k) sqrt(2 pi)) only at k = 1: the
-tail is launched at t = 8 in leading-order form, and the amplitude is 1.2% off
-at k = 1.5 and 7.8% off at k = -0.5.
+Launching Painleve IV from its t -> -infinity asymptote -kt - k^2/t is a
+connection problem: the asymptote-consistent solution is a separatrix, and
+forward integration amplifies perturbations like exp(O(t^2)) (a launch at
+t = -10^3 loses everything).  ``piv_solution`` therefore shoots on the
+amplitude of the decaying right tail sigma ~ a t^{2k-2} e^{-t^2/2},
+integrating backward (the stable direction on the evaluation window) and
+bisecting the pole/flat dichotomy at the left.  The bisected amplitude
+matches 1/(Gamma(k) sqrt(2 pi)) only at k = 1: the tail is launched at t = 8
+in leading-order form, and the amplitude is 1.2% off at k = 1.5 and 7.8% off
+at k = -0.5.  The solution, with its dense output, is cached per order, so a
+warm ``piv_f`` costs one Gauss-Legendre quadrature of that output.
 """
 
 import math
@@ -47,12 +48,10 @@ __all__ = [
     "sigma_ppp",
     "transport_integrand",
     "log_derivatives",
-    "init_from_asymptote_p4",
-    "piv_asymptote",
     "init_from_gap",
-    "solve",
     "solve_span",
     "F_from_sigma",
+    "piv_solution",
     "piv_f",
     "p5_to_p4_residual",
     "p6_to_p5_residual",
@@ -158,10 +157,10 @@ def _check_regular(f: SigmaFamily, t: float) -> None:
         raise ValueError("PVI sigma-form is singular at t in {0, 1}")
 
 
-def sigma_pp_roots(f: SigmaFamily, t, s, sp, disc_tol: float = 1e-9):
+def sigma_pp_roots(f: SigmaFamily, t, s, sp):
     """The two sigma'' roots of the sigma-form at (t, s, s').
 
-    A discriminant below -disc_tol (relative) raises BranchError; small
+    A discriminant below -1e-9 (relative) raises BranchError; small
     negatives clamp to the double root.
     """
     _check_regular(f, t)
@@ -184,7 +183,7 @@ def sigma_pp_roots(f: SigmaFamily, t, s, sp, disc_tol: float = 1e-9):
         scale = 1.0 + abs(C / P) ** 2
     else:
         raise TypeError(f"unknown family {f!r}")
-    if d < -disc_tol * scale:
+    if d < -1e-9 * scale:
         raise BranchError(
             f"negative sigma'' discriminant {d:.3e} at t={t} (branch degeneracy)"
         )
@@ -245,27 +244,6 @@ class SigmaInit:
     sigma0_prime: float
     sigma0_pp_hint: Optional[float] = None
     log_f0: Optional[float] = None  # ln of the transported probability at t0
-    from_asymptote: bool = False
-
-
-def piv_asymptote(k: float, t):
-    """Five-term t -> -infinity series of the PIV solution and derivatives:
-    sigma = -kt - k^2/t + 2k^3/t^3 - (k^2 + 9k^4)/t^5 + O(t^-7)."""
-    c5 = k * k + 9 * k**4
-    s = -k * t - k * k / t + 2 * k**3 / t**3 - c5 / t**5
-    sp = -k + k * k / t**2 - 6 * k**3 / t**4 + 5 * c5 / t**6
-    spp = -2 * k * k / t**3 + 24 * k**3 / t**5 - 30 * c5 / t**7
-    return s, sp, spp
-
-
-def init_from_asymptote_p4(k: float, T: float) -> SigmaInit:
-    """PIV initial data at t0 = -T from the left asymptote (requires T >= 1e3;
-    the series truncation there is far below any solve tolerance)."""
-    if T < 1e3:
-        raise ValueError("asymptote initialization requires T >= 1e3")
-    t0 = -float(T)
-    s, sp, spp = piv_asymptote(k, t0)
-    return SigmaInit(t0, s, sp, spp, log_f0=None, from_asymptote=True)
 
 
 def log_derivatives(fn: Callable[[float], float], t0: float, h: float):
@@ -410,7 +388,6 @@ class SigmaSolution:
     grid: np.ndarray
     sigma: np.ndarray
     sigma_prime: np.ndarray
-    tol: float
     max_residual: float
     _segments: list = field(repr=False, default_factory=list)
     _anchor: Optional[tuple] = field(repr=False, default=None)  # (t, logF)
@@ -440,7 +417,7 @@ def _ode_rhs(f: SigmaFamily):
     return rhs
 
 
-def _integrate_segment(f, t0, y0, t1, rtol, atol):
+def _integrate_segment(f, t0, y0, t1):
     if t0 == t1:
         return None
     sol = _integrate.solve_ivp(
@@ -448,8 +425,8 @@ def _integrate_segment(f, t0, y0, t1, rtol, atol):
         [t0, t1],
         y0,
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-11,
+        atol=1e-12,
         dense_output=True,
     )
     if sol.status != 0:
@@ -478,16 +455,11 @@ def solve_span(
     lo: float,
     hi: float,
     tol: float = 1e-8,
-    rtol: float = 1e-11,
-    atol: float = 1e-12,
 ) -> SigmaSolution:
-    """Solve covering [lo, hi].  Interior initial points integrate out in
-    both directions; a far-left PIV asymptote init routes to the
-    connection-shooting construction."""
+    """Solve covering [lo, hi] from an interior initial point, integrating
+    out in both directions."""
     if lo >= hi:
         raise ValueError("need lo < hi")
-    if isinstance(f, PIV) and init.from_asymptote:
-        return _solve_piv_asymptote(f.k, hi, tol, rtol, atol)
     _domain_guard(f, lo, hi)
     t0 = init.t0
     if not lo <= t0 <= hi:
@@ -496,35 +468,14 @@ def solve_span(
     y0 = [init.sigma0, init.sigma0_prime, spp0]
     segments = []
     for target in (lo, hi):
-        seg = _integrate_segment(f, t0, y0, target, rtol, atol)
+        seg = _integrate_segment(f, t0, y0, target)
         if seg is not None:
             segments.append(_Segment(f, seg.sol, seg.t))
     # common transport origin at t0
     for seg in segments:
         seg.quad_base = -seg.quad(t0)
-    return _assemble(f, init, segments, tol)
-
-
-def solve(
-    f: SigmaFamily,
-    init: SigmaInit,
-    t_end: float,
-    tol: float = 1e-8,
-    rtol: float = 1e-11,
-    atol: float = 1e-12,
-) -> SigmaSolution:
-    """One-directional solve from init.t0 to t_end (see solve_span)."""
-    if isinstance(f, PIV) and init.from_asymptote:
-        if t_end < -14.0:
-            raise ValueError(
-                "asymptote-initialized PIV trajectories are computed on "
-                "[-14, inf); to the left of -14 use piv_asymptote directly"
-            )
-        return _solve_piv_asymptote(f.k, max(t_end, 8.0), tol, rtol, atol)
-    lo, hi = sorted((init.t0, t_end))
-    if lo == hi:
-        raise ValueError("t_end coincides with the initial point")
-    return solve_span(f, init, lo, hi, tol, rtol, atol)
+    anchor = (init.t0, init.log_f0) if init.log_f0 is not None else None
+    return _check_residual(_assemble(f, segments, anchor), tol)
 
 
 def _domain_guard(f, lo, hi):
@@ -534,7 +485,7 @@ def _domain_guard(f, lo, hi):
         raise ValueError("PVI solve span must stay inside (0, 1)")
 
 
-def _assemble(f, init, segments, tol) -> SigmaSolution:
+def _assemble(f, segments, anchor) -> SigmaSolution:
     ts, ss, sps = [], [], []
     max_res = 0.0
     for seg in segments:
@@ -548,18 +499,20 @@ def _assemble(f, init, segments, tol) -> SigmaSolution:
     grid = np.asarray(ts)[order]
     keep = np.concatenate([[True], np.diff(grid) > 0.0])  # strictly ascending
     grid = grid[keep]
-    sol = SigmaSolution(
+    return SigmaSolution(
         family=f,
         grid=grid,
         sigma=np.asarray(ss)[order][keep],
         sigma_prime=np.asarray(sps)[order][keep],
-        tol=tol,
         max_residual=max_res,
         _segments=segments,
-        _anchor=(init.t0, init.log_f0) if init.log_f0 is not None else None,
+        _anchor=anchor,
     )
-    if max_res > tol:
-        raise SolveError(f"node residual {max_res:.3e} exceeds tol={tol}")
+
+
+def _check_residual(sol: SigmaSolution, tol: float) -> SigmaSolution:
+    if sol.max_residual > tol:
+        raise SolveError(f"node residual {sol.max_residual:.3e} exceeds tol={tol}")
     return sol
 
 
@@ -604,10 +557,29 @@ def _piv_classify(k, a, T1, Tdet):
 
 
 @lru_cache(maxsize=64)
-def _piv_shoot_cached(k: float, T1: float, Tdet: float):
-    """Bisected right-tail amplitude for the PIV connection problem."""
+def piv_solution(k: float) -> SigmaSolution:
+    """The PIV solution matching the left asymptote -kt - k^2/t, for real k,
+    cached per order.
+
+    The numerical trajectory covers [-14, 8]; to the right of 8 F is the
+    closed-form tail.  Accuracy of sigma degrades toward the detection end
+    t = -14 but is maximal on the window where F is read off.  The node
+    residual is in ``max_residual``; ``piv_f`` checks it against its caller's
+    tolerance.
+    """
+    k = float(k)
+    T1, Tdet = 8.0, -14.0
     if k == 0.0:
-        return 0.0
+        grid = np.linspace(Tdet, T1, 9)
+        zero = np.zeros_like(grid)
+        seg = _Segment(PIV(0.0), lambda t: np.zeros(3), grid)
+        return SigmaSolution(
+            PIV(0.0), grid, zero, zero.copy(), 0.0,
+            _segments=[seg],
+            _anchor=(T1, 0.0),
+            _piv_tail=(0.0, T1, 0.0),
+        )
+    # bracket, then bisect, the right-tail amplitude
     a = math.copysign(1.0, k)
     ga = math.gamma(k) if (k > 0 or k != round(k)) else 1.0
     if ga != 0 and math.isfinite(ga):
@@ -636,7 +608,19 @@ def _piv_shoot_cached(k: float, T1: float, Tdet: float):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), lo, hi
+    sol = None
+    for cand in (0.5 * (lo + hi), lo, hi):
+        _, trial = _piv_classify(k, cand, T1, Tdet)
+        # accept if the trajectory survives well past the evaluation window
+        if trial.t[-1] <= -11.0:
+            a, sol = cand, trial
+            break
+    if sol is None:
+        raise SolveError(f"PIV connection trajectory lost for k={k}")
+    f = PIV(k)
+    out = _assemble(f, [_Segment(f, sol.sol, sol.t)], (T1, _piv_log_tail(k, a, T1)))
+    out._piv_tail = (a, T1, k)
+    return out
 
 
 def _piv_log_tail(k: float, a: float, x: float) -> float:
@@ -652,50 +636,12 @@ def _piv_log_tail(k: float, a: float, x: float) -> float:
     return -a * math.exp(val)
 
 
-def _solve_piv_asymptote(k, hi, tol, rtol, atol) -> SigmaSolution:
-    """Asymptote-initialized PIV solve via connection shooting.
-
-    The numerical trajectory covers [-14, max(8, hi)]; to the left the
-    solution is the asymptote series itself (its residual is far below tol
-    there).  Accuracy of sigma degrades toward the detection end t = -14 but
-    is maximal on the window where F is read off.
-    """
-    T1 = max(8.0, hi)
-    Tdet = -14.0
-    if k == 0.0:
-        grid = np.linspace(Tdet, T1, 9)
-        zero = np.zeros_like(grid)
-        seg = _Segment(PIV(0.0), lambda t: np.zeros(3), grid)
-        return SigmaSolution(
-            PIV(0.0), grid, zero, zero.copy(), tol, 0.0,
-            _segments=[seg],
-            _anchor=(T1, 0.0),
-            _piv_tail=(0.0, T1, 0.0),
-        )
-    a, a_lo, a_hi = _piv_shoot_cached(float(k), float(T1), float(Tdet))
-    sol = None
-    for cand in (a, a_lo, a_hi):
-        _, trial = _piv_classify(k, cand, T1, Tdet)
-        # accept if the trajectory survives well past the evaluation window
-        if trial.t[-1] <= -11.0:
-            a, sol = cand, trial
-            break
-    if sol is None:
-        raise SolveError(f"PIV connection trajectory lost for k={k}")
-    f = PIV(k)
-    seg = _Segment(f, sol.sol, sol.t)
-    out = _assemble(f, SigmaInit(T1, *_piv_tail_state(k, T1, a)), [seg], tol)
-    out._anchor = (T1, _piv_log_tail(k, a, T1))
-    out._piv_tail = (a, T1, k)
-    return out
-
-
 def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
-    """F_k(x) = exp(-int_x^inf sigma_IV) for real k, via connection shooting."""
+    """F_k(x) = exp(-int_x^inf sigma_IV) for real k, read from the cached
+    ``piv_solution(k)``; raises SolveError if its node residual exceeds tol."""
     if k == 0.0:
         return 1.0
-    init = init_from_asymptote_p4(k, 1e4)
-    sol = solve(PIV(float(k)), init, 8.0, tol=tol)
+    sol = _check_residual(piv_solution(float(k)), tol)
     return F_from_sigma(PIV(float(k)), sol, x)
 
 

@@ -134,21 +134,20 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 
 def log_reg_inc_beta(a: float, b: float, x: float) -> float:
-    """ln I_x(a, b), finite down to very small x via a series fallback."""
+    """ln I_x(a, b), finite where I_x itself underflows, through
+    I_x(a,b) = x^a (1-x)^b / (a B(a,b)) 2F1(a+b, 1; a+1; x) (DLMF 8.17.8)."""
     v = reg_inc_beta(a, b, x)
     if v > 1e-280:
         return math.log(v)
     if x == 0.0:
         return -math.inf
-    # leading term of the small-x series: x^a (1-x)^b / (a B(a,b)) * (1+O(x))
     log_lead = (
         a * math.log(x)
         + b * math.log1p(-x)
         - math.log(a)
         - float(_sp.betaln(a, b))
     )
-    # first-order correction of the hypergeometric factor 2F1(a+b,1;a+1;x)
-    return log_lead + math.log1p((a + b) * x / (a + 1.0))
+    return log_lead + math.log(float(_sp.hyp2f1(a + b, 1.0, a + 1.0, x)))
 
 
 def erfc(x: float) -> float:

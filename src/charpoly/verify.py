@@ -141,18 +141,13 @@ def check_painleve_iv(level: str, seed: int):
     out = []
     xs = np.linspace(-3.0, 3.0, 13 if level == "full" else 5)
     for k in (1, 2):
-        init = pain.init_from_asymptote_p4(float(k), 1e4)
-        sol = pain.solve(pain.PIV(float(k)), init, 8.0, tol=1e-8)
         worst = max(
-            abs(
-                pain.F_from_sigma(pain.PIV(float(k)), sol, float(x))
-                - gapmod.gap_cdf(gapmod.GUE(k), float(x))
-            )
+            abs(pain.piv_f(float(k), float(x)) - gapmod.gap_cdf(gapmod.GUE(k), float(x)))
             for x in xs
         )
         out.append(_result(f"c04_piv_vs_gue{k}", worst, 1e-6))
         if k == 1:
-            anchor = abs(pain.F_from_sigma(pain.PIV(1.0), sol, 0.0) - 0.5)
+            anchor = abs(pain.piv_f(1.0, 0.0) - 0.5)
             out.append(_result("c04_piv_f1_anchor", anchor, 1e-9, "F_1(0) = 1/2"))
     return out
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from charpoly import painleve
 from charpoly.asymptotics import (
     EdgeVectors,
     bulk_multi,
@@ -33,6 +34,7 @@ from charpoly.dualities import (
 )
 from charpoly.ensembles import ChargeConfiguration
 from charpoly.gap import GUE, gap_cdf
+from charpoly.painleve import piv_f
 from charpoly.specfun import erfc, log_barnes_g
 
 
@@ -84,6 +86,24 @@ def test_edge_real_k_matches_integer_route():
         + math.log(gue_largest_f(1.0, 0.0))
     )
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_real_k_edge_factor_reads_the_cached_piv_solution(monkeypatch):
+    k = 1.37
+    first = gue_largest_f(k, 0.2)
+    assert first == piv_f(k, 0.2)
+    calls = []
+    solve_ivp = painleve._integrate.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(painleve._integrate, "solve_ivp", counting)
+    for x in (-1.1, 0.45, 2.0):
+        assert gue_largest_f(k, x) == piv_f(k, x)
+    assert math.isfinite(ginibre_edge(64, k, 1.02))
+    assert calls == []
 
 
 def test_two_charge_separation_limit():

@@ -124,6 +124,61 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, skipped",
+    [
+        (["--n", "40", "--k", "1", "--z", "0.5"], {"toeplitz", "pv"}),
+        (["--ensemble", "tcue", "--n", "3", "--m", "5", "--k", "1", "--z", "1.5"],
+         {"exact-jue-factored", "toeplitz"}),
+    ],
+    ids=["ginibre-n40", "tcue-outside-disc"],
+)
+def test_exact_skips_refusing_routes(capsys, argv, skipped):
+    code, out = run_cli(capsys, "exact", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert {r["route"] for r in doc["outputs"] if "skipped" in r} == skipped
+    assert all(r["skipped"] for r in doc["outputs"] if "skipped" in r)
+    assert [r["route"] for r in doc["outputs"] if "skipped" not in r] == ["exact"]
+    assert doc["checks"] == []  # one route left: nothing to agree with
+
+
+def test_exact_agreement_over_returned_routes(capsys):
+    code, out = run_cli(
+        capsys, "exact", "--ensemble", "tcue", "--n", "3", "--m", "5", "--gamma", "1.3",
+        "--z", "0.5",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["route"] for r in doc["outputs"]] == ["toeplitz"]
+    assert doc["checks"] == []
+    code, out = run_cli(
+        capsys, "exact", "--ensemble", "tcue", "--n", "3", "--m", "5", "--k", "1",
+        "--z", "0.5",
+    )
+    doc = json.loads(out)
+    assert code == 0 and len(doc["outputs"]) == 3
+    assert [c["name"] for c in doc["checks"]] == ["route_agreement"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["painleve", "--family", "p4", "--k", "1", "--x", "0", "--tol", "1e-13"],
+        ["asym", "--expansion", "two-charge", "--n", "800", "--k", "1", "--k2", "1",
+         "--z", "0.1", "--u1", "0", "--u2", "1"],
+    ],
+    ids=["piv-residual-gate", "correlator-overflow"],
+)
+def test_numerical_refusal_exits_1_with_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("command", ["exact", "mc"])
 def test_tcue_without_m_is_usage_error(capsys, command):
     code = main([command, "--ensemble", "tcue", "--n", "6", "--k", "1", "--z", "0.5"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from charpoly import painleve
 from charpoly.gap import GUE, JUE, LUE, gap_cdf, log_gap_cdf, log_lue_tail, lue_tail
 from charpoly.painleve import (
     PIV,
@@ -14,21 +15,29 @@ from charpoly.painleve import (
     SolveError,
     heqn_lhs,
     heqn_params,
-    init_from_asymptote_p4,
     init_from_gap,
     jue_from_pvi,
     log_derivatives,
     p5_to_p4_residual,
     p6_to_p5_residual,
-    piv_asymptote,
     piv_f,
+    piv_solution,
     pvi_from_jue,
     residual,
     sigma_form_lhs,
     sigma_pp_roots,
-    solve,
     solve_span,
 )
+
+
+def piv_asymptote(k: float, t):
+    """Five-term t -> -infinity series of the PIV solution and derivatives:
+    sigma = -kt - k^2/t + 2k^3/t^3 - (k^2 + 9k^4)/t^5 + O(t^-7)."""
+    c5 = k * k + 9 * k**4
+    s = -k * t - k * k / t + 2 * k**3 / t**3 - c5 / t**5
+    sp = -k + k * k / t**2 - 6 * k**3 / t**4 + 5 * c5 / t**6
+    spp = -2 * k * k / t**3 + 24 * k**3 / t**5 - 30 * c5 / t**7
+    return s, sp, spp
 
 
 def test_residual_zero_solution():
@@ -63,20 +72,8 @@ def test_pv_residual_from_lue_tail_data():
     assert worst <= 1e-5
 
 
-def test_init_from_asymptote_values():
-    init = init_from_asymptote_p4(0.0, 1e4)
-    assert init.sigma0 == 0.0 and init.sigma0_prime == 0.0
-    init = init_from_asymptote_p4(1.0, 1e4)
-    assert init.t0 == -1e4
-    assert init.sigma0 == pytest.approx(1e4 + 1e-4, rel=1e-10)
-    assert init.sigma0_prime == pytest.approx(-1.0 + 1e-8, rel=1e-9)
-    with pytest.raises(ValueError):
-        init_from_asymptote_p4(1.0, 100.0)
-
-
 def test_piv_solve_reproduces_gue_cdf():
-    init = init_from_asymptote_p4(1.0, 1e4)
-    sol = solve(PIV(1.0), init, 8.0, tol=1e-8)
+    sol = piv_solution(1.0)
     assert sol.max_residual <= 1e-8
     for x in np.linspace(-3.0, 3.0, 7):
         f = F_from_sigma(PIV(1.0), sol, float(x))
@@ -85,14 +82,15 @@ def test_piv_solve_reproduces_gue_cdf():
 
 
 def test_piv_zero_parameter_trivial():
-    sol = solve(PIV(0.0), init_from_asymptote_p4(0.0, 1e4), 8.0)
+    sol = piv_solution(0.0)
+    assert sol.max_residual == 0.0
     assert np.all(sol.sigma == 0.0)
-    assert F_from_sigma(PIV(0.0), sol, 1.0) == 1.0
+    for x in (-14.0, -3.0, 1.0, 8.0, 12.0):
+        assert F_from_sigma(PIV(0.0), sol, x) == 1.0
 
 
 def test_piv_branch_continuity():
-    init = init_from_asymptote_p4(2.0, 1e4)
-    sol = solve(PIV(2.0), init, 8.0, tol=1e-8)
+    sol = piv_solution(2.0)
     # sigma'' sampled densely on the evaluation window varies smoothly
     ts = np.linspace(-5.0, 5.0, 1001)
     spp = np.array([sol.state(float(t))[2] for t in ts])
@@ -104,6 +102,35 @@ def test_piv_real_order():
     f0 = piv_f(-0.5, 0.0)
     assert 1.0 < f0 < 1.1
     assert piv_f(-0.5, 7.5) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_piv_f_warm_call_makes_no_solve(monkeypatch):
+    k = 1.37
+    piv_f(k, 0.0)
+    calls = []
+    solve_ivp = painleve._integrate.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(painleve._integrate, "solve_ivp", counting)
+    assert 0.0 < piv_f(k, 0.75) < 1.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [1.0, -0.5])
+def test_piv_f_reads_the_cached_solution(k):
+    fresh = piv_solution.__wrapped__(k)
+    for x in (-3.0, -0.4, 0.0, 2.5, 8.0, 8.5):
+        assert piv_f(k, x) == F_from_sigma(PIV(k), fresh, x)
+
+
+def test_piv_f_residual_gate_applies_to_a_cached_solution():
+    assert piv_f(1.0, 0.0, tol=1e-8) == pytest.approx(0.5, abs=1e-9)
+    assert piv_solution(1.0).max_residual > 1e-13
+    with pytest.raises(SolveError, match="node residual"):
+        piv_f(1.0, 0.0, tol=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -161,7 +188,7 @@ def test_init_from_gap_errors():
 def test_init_residual_gate():
     bad = SigmaInit(1.0, 5.0, 10.0, 0.0)
     with pytest.raises((SolveError, BranchError)):
-        solve(PV(1.0, 2.0), bad, 4.0, tol=1e-8)
+        solve_span(PV(1.0, 2.0), bad, 1.0, 4.0, tol=1e-8)
 
 
 def test_sigma_pp_roots_branch_error():
@@ -271,5 +298,4 @@ def test_solution_grid_strictly_ascending():
     fam = PV(1.0, 1.0)
     sol = solve_span(fam, init_from_gap(fam, 2.0), 0.3, 8.0, tol=1e-7)
     assert np.all(np.diff(sol.grid) > 0)
-    sol4 = solve(PIV(1.0), init_from_asymptote_p4(1.0, 1e4), 8.0)
-    assert np.all(np.diff(sol4.grid) > 0)
+    assert np.all(np.diff(piv_solution(1.0).grid) > 0)

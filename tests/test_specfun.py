@@ -12,6 +12,7 @@ from charpoly.specfun import (
     erfc_complex,
     log_barnes_g,
     log_gamma,
+    log_reg_inc_beta,
     log_reg_upper_gamma,
     reg_inc_beta,
     reg_lower_gamma,
@@ -136,6 +137,18 @@ def test_erfc_values_and_symmetry():
         assert erfc(x) == pytest.approx(2.0 - erfc(-x), rel=1e-13)
     val, _ = integrate.quad(lambda t: math.exp(-t * t), 1.0, 12.0)
     assert erfc(1.0) == pytest.approx(2.0 / math.sqrt(math.pi) * val, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "a, b, x",
+    [(1200, 3, 0.55), (2000, 0.5, 0.7), (900, 40, 0.4), (1500, 100, 0.2), (700, 1.5, 0.35)],
+)
+def test_log_reg_inc_beta_underflow_matches_mpmath(a, b, x):
+    # I_x(a, b) < 1e-280 here, so the value comes from the 2F1 identity
+    assert reg_inc_beta(a, b, x) < 1e-280
+    with mpmath.workdps(50):
+        want = float(mpmath.log(mpmath.betainc(a, b, 0, x, regularized=True)))
+    assert abs(log_reg_inc_beta(a, b, x) - want) <= 1e-12 * abs(want)
 
 
 def test_erfc_complex_matches_mpmath():
