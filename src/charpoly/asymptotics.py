@@ -23,6 +23,7 @@ from .dualities import (
     lemniscate_gamma_exponents,
     log_c_lemniscate,
 )
+from .linalg import logdet
 from .specfun import erfc_complex, log_barnes_g
 
 __all__ = [
@@ -239,58 +240,32 @@ def _bm_kernel(a, s):
     return np.exp(-((a - s) ** 2)) / math.sqrt(math.pi)
 
 
-def _det_stack(rows):
-    """Determinant tensors over tensor-product grid axes.
-
-    rows: list of k arrays, rows[i][a] = f_i(s_a).  Returns the k-axis tensor
-    D[a_1..a_k] = det{f_i(s_{a_j})} assembled from explicit permutation sums.
-    """
-    k = len(rows)
-    n = rows[0].size
-    if k == 1:
-        return rows[0]
-    if k == 2:
-        return np.einsum("a,b->ab", rows[0], rows[1]) - np.einsum(
-            "b,a->ab", rows[0], rows[1]
-        )
-    if k == 3:
-        perms = [
-            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-            ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
-        ]
-        out = np.zeros((n, n, n), dtype=complex)
-        axes = "abc"
-        for perm, sgn in perms:
-            spec = ",".join(axes[j] for j in perm) + "->abc"
-            out += sgn * np.einsum(spec, rows[0], rows[1], rows[2])
-        return out
-    raise ValueError("Karlin-McGregor quadrature supports k <= 3")
+_KM_NODES = 160
 
 
-def edge_f_km(u, v, n_nodes: int = 160) -> complex:
-    """F^edge_k via the Karlin-McGregor route: adaptive-resolution tensor
-    quadrature of Z_{1/2}(u, conj(v), R_+) divided by the Vandermondes.
-    Requires pairwise-distinct u and distinct v (k <= 3)."""
+def edge_f_km(u, v) -> complex:
+    """F^edge_k via the Karlin-McGregor route: the k-fold integral
+    Z_{1/2}(u, conj(v), R_+) divided by the Vandermondes, on a fixed
+    160-node Gauss-Legendre tensor rule over [0, max|Re| + 7].
+
+    By Cauchy-Binet (Andreief) the tensor sum of det{p(u_i, s_aj)}
+    det{p(conj v_i, s_aj)} equals k! det[sum_a w_a p(u_i, s_a) p(conj v_j, s_a)],
+    so it costs O(k^2 n), not O(n^k).  Requires pairwise-distinct u and
+    distinct v (k <= 3)."""
     u = [complex(x) for x in u]
     vb = [complex(x).conjugate() for x in v]
     k = len(u)
     if k > 3:
         raise ValueError("Karlin-McGregor route supports k <= 3")
-    reach = max([abs(x.real) for x in u + vb], default=0.0)
-    L = reach + 7.0
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    L = max([abs(x.real) for x in u + vb], default=0.0) + 7.0
+    x, w = np.polynomial.legendre.leggauss(_KM_NODES)
     s = 0.5 * L * (x + 1.0)
     ws = 0.5 * L * w
-    du = _det_stack([_bm_kernel(a, s) for a in u])
-    dv = _det_stack([_bm_kernel(a, s) for a in vb])
-    wprod = ws
-    for _ in range(k - 1):
-        wprod = np.multiply.outer(wprod, ws)
-    z_half = complex(np.sum(wprod * du * dv))
-    vand = 1.0 + 0.0j
-    for j in range(k):
-        for i in range(j):
-            vand *= (u[j] - u[i]) * (vb[j] - vb[i])
+    pu = _bm_kernel(np.array(u)[:, None], s)
+    pv = _bm_kernel(np.array(vb)[:, None], s)
+    logabs, phase = logdet((pu * ws) @ pv.T)
+    z_half = math.factorial(k) * cmath.exp(complex(logabs, phase))
+    vand = np.prod([(u[j] - u[i]) * (vb[j] - vb[i]) for j in range(k) for i in range(j)])
     return z_half / vand
 
 

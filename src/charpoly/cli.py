@@ -184,9 +184,10 @@ def cmd_painleve(args) -> RunReport:
         )
         f = pain.F_from_sigma(fam, sol, args.x)
         ref = gapmod.gap_cdf(gapmod.JUE(int(args.k), args.alpha, args.beta), args.x)
+    route = {"p4": "piv-ode", "p5": "pv-ode", "p6": "pvi-ode"}[args.family]
     rep.outputs.append(
-        _record("F", "pv-ode", math.log(f) if f > 0 else None,
-                {"value": f, "max_residual": sol.max_residual})
+        _record("F", route, math.log(f) if f > 0 else None,
+                {"value": f, "max_residual": sol.max_residual, "nfev": sol.nfev})
     )
     if ref is not None:
         rep.outputs.append(_record("F", "gap-determinant", math.log(ref) if ref > 0 else None,

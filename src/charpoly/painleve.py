@@ -16,8 +16,10 @@ integrating backward (the stable direction on the evaluation window) and
 bisecting the pole/flat dichotomy at the left.  The bisected amplitude
 matches 1/(Gamma(k) sqrt(2 pi)) only at k = 1: the tail is launched at t = 8
 in leading-order form, and the amplitude is 1.2% off at k = 1.5 and 7.8% off
-at k = -0.5.  The solution, with its dense output, is cached per order, so a
-warm ``piv_f`` costs one Gauss-Legendre quadrature of that output.
+at k = -0.5.  The bisection runs the bare DOP853 stepper, and only the
+accepted trajectory is solved with dense output (a cold shoot: 3-4 s).  The
+solution is cached per order, so a warm ``piv_f`` costs one Gauss-Legendre
+quadrature of its dense output.
 """
 
 import math
@@ -389,6 +391,7 @@ class SigmaSolution:
     sigma: np.ndarray
     sigma_prime: np.ndarray
     max_residual: float
+    nfev: int = 0  # ODE right-hand-side evaluations spent building it
     _segments: list = field(repr=False, default_factory=list)
     _anchor: Optional[tuple] = field(repr=False, default=None)  # (t, logF)
     _piv_tail: Optional[tuple] = field(repr=False, default=None)  # (a, T1, k)
@@ -466,16 +469,17 @@ def solve_span(
         raise ValueError("initial point must lie inside [lo, hi]")
     spp0 = _initial_spp(f, init, tol)
     y0 = [init.sigma0, init.sigma0_prime, spp0]
-    segments = []
+    segments, nfev = [], 0
     for target in (lo, hi):
         seg = _integrate_segment(f, t0, y0, target)
         if seg is not None:
             segments.append(_Segment(f, seg.sol, seg.t))
+            nfev += seg.nfev
     # common transport origin at t0
     for seg in segments:
         seg.quad_base = -seg.quad(t0)
     anchor = (init.t0, init.log_f0) if init.log_f0 is not None else None
-    return _check_residual(_assemble(f, segments, anchor), tol)
+    return _check_residual(_assemble(f, segments, anchor, nfev), tol)
 
 
 def _domain_guard(f, lo, hi):
@@ -485,7 +489,7 @@ def _domain_guard(f, lo, hi):
         raise ValueError("PVI solve span must stay inside (0, 1)")
 
 
-def _assemble(f, segments, anchor) -> SigmaSolution:
+def _assemble(f, segments, anchor, nfev) -> SigmaSolution:
     ts, ss, sps = [], [], []
     max_res = 0.0
     for seg in segments:
@@ -505,6 +509,7 @@ def _assemble(f, segments, anchor) -> SigmaSolution:
         sigma=np.asarray(ss)[order][keep],
         sigma_prime=np.asarray(sps)[order][keep],
         max_residual=max_res,
+        nfev=nfev,
         _segments=segments,
         _anchor=anchor,
     )
@@ -531,15 +536,25 @@ def _piv_tail_state(k: float, t: float, a: float):
 _SHOOT_RTOL = 1e-12
 
 
+def _piv_guard(k, t, y):
+    """Pole guard: non-negative once |sigma| leaves the asymptote's scale."""
+    return abs(y[0]) - 60.0 * (1.0 + abs(k) * abs(t))
+
+
+def _piv_verdict(k, s, guarded, Tdet):
+    """Side of a trajectory ending at sigma = s: by its sign where the guard
+    fired, else by s against the asymptote at Tdet."""
+    if guarded:
+        return 1 if s * math.copysign(1.0, k) > 0 else -1
+    return 1 if s / (-k * Tdet - k * k / Tdet) > 1.0 else -1
+
+
 def _piv_classify(k, a, T1, Tdet):
-    f = PIV(k)
-
-    def guard(t, y):
-        return abs(y[0]) - 60.0 * (1.0 + abs(k) * abs(t))
-
+    """(side, dense trajectory) of amplitude ``a``, stopped at the guard."""
+    guard = lambda t, y: _piv_guard(k, t, y)
     guard.terminal = True
     sol = _integrate.solve_ivp(
-        _ode_rhs(f),
+        _ode_rhs(PIV(k)),
         [T1, Tdet],
         _piv_tail_state(k, T1, a),
         method="DOP853",
@@ -548,12 +563,22 @@ def _piv_classify(k, a, T1, Tdet):
         events=guard,
         dense_output=True,
     )
-    if sol.status == 1:  # guard: sign decides the side
-        side = 1 if sol.y[0, -1] * math.copysign(1.0, k) > 0 else -1
-        return side, sol
-    asym = -k * Tdet - k * k / Tdet
-    side = 1 if sol.y[0, -1] / asym > 1.0 else -1
-    return side, sol
+    return _piv_verdict(k, sol.y[0, -1], sol.status == 1, Tdet), sol
+
+
+def _piv_side(k, a, T1, Tdet):
+    """(side, nfev) of amplitude ``a`` as ``_piv_classify`` reports it, from
+    the bare DOP853 stepper: the same steps, the guard tested at each step
+    end as ``solve_ivp`` tests its event, no dense output or root search."""
+    solver = _integrate.DOP853(
+        _ode_rhs(PIV(k)), T1, _piv_tail_state(k, T1, a), Tdet,
+        rtol=_SHOOT_RTOL, atol=1e-280,
+    )
+    guarded = False
+    while solver.status == "running" and not guarded:
+        solver.step()  # a failed step keeps the last accepted state
+        guarded = solver.status != "failed" and _piv_guard(k, solver.t, solver.y) >= 0.0
+    return _piv_verdict(k, solver.y[0], guarded, Tdet), solver.nfev
 
 
 @lru_cache(maxsize=64)
@@ -585,32 +610,29 @@ def piv_solution(k: float) -> SigmaSolution:
     if ga != 0 and math.isfinite(ga):
         a = 1.0 / (ga * math.sqrt(2.0 * math.pi))
     lo = hi = None
+    nfev = 0
     for _ in range(200):
-        side, _ = _piv_classify(k, a, T1, Tdet)
+        side, n = _piv_side(k, a, T1, Tdet)
+        nfev += n
         if side > 0:
-            hi = a
+            hi, a = a, (a / 2 if a > 0 else a * 2)
         else:
-            lo = a
+            lo, a = a, (a * 2 if a > 0 else a / 2)
         if lo is not None and hi is not None:
             break
-        if side > 0:
-            a = a / 2 if a > 0 else a * 2
-        else:
-            a = a * 2 if a > 0 else a / 2
     else:
         raise SolveError(f"could not bracket the PIV tail amplitude for k={k}")
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        side, _ = _piv_classify(k, mid, T1, Tdet)
-        if side > 0:
-            hi = mid
-        else:
-            lo = mid
+        side, n = _piv_side(k, mid, T1, Tdet)
+        nfev += n
+        lo, hi = (lo, mid) if side > 0 else (mid, hi)
     sol = None
     for cand in (0.5 * (lo + hi), lo, hi):
         _, trial = _piv_classify(k, cand, T1, Tdet)
+        nfev += trial.nfev
         # accept if the trajectory survives well past the evaluation window
         if trial.t[-1] <= -11.0:
             a, sol = cand, trial
@@ -618,7 +640,8 @@ def piv_solution(k: float) -> SigmaSolution:
     if sol is None:
         raise SolveError(f"PIV connection trajectory lost for k={k}")
     f = PIV(k)
-    out = _assemble(f, [_Segment(f, sol.sol, sol.t)], (T1, _piv_log_tail(k, a, T1)))
+    anchor = (T1, _piv_log_tail(k, a, T1))
+    out = _assemble(f, [_Segment(f, sol.sol, sol.t)], anchor, nfev)
     out._piv_tail = (a, T1, k)
     return out
 

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from charpoly import painleve
 from charpoly.asymptotics import (
     EdgeVectors,
     bulk_multi,
@@ -88,22 +87,15 @@ def test_edge_real_k_matches_integer_route():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_real_k_edge_factor_reads_the_cached_piv_solution(monkeypatch):
+def test_real_k_edge_factor_reads_the_cached_piv_solution(ode_calls):
     k = 1.37
     first = gue_largest_f(k, 0.2)
     assert first == piv_f(k, 0.2)
-    calls = []
-    solve_ivp = painleve._integrate.solve_ivp
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(painleve._integrate, "solve_ivp", counting)
+    ode_calls.clear()
     for x in (-1.1, 0.45, 2.0):
         assert gue_largest_f(k, x) == piv_f(k, x)
     assert math.isfinite(ginibre_edge(64, k, 1.02))
-    assert calls == []
+    assert ode_calls == []
 
 
 def test_two_charge_separation_limit():
@@ -223,6 +215,49 @@ def test_edge_multi_consistent_with_single_charge_theorem():
 def test_edge_multi_requires_boundary():
     with pytest.raises(ValueError):
         edge_multi(10, 0.5, EdgeVectors((0.1,), (0.1,)))
+
+
+def _km_tensor_reference(u, v):
+    """The Karlin-McGregor quadrature summed over the full n^k tensor grid of
+    per-node determinants det{p(u_i, s_aj)} det{p(conj v_i, s_aj)}."""
+    u = [complex(x) for x in u]
+    vb = [complex(x).conjugate() for x in v]
+    k = len(u)
+    L = max(abs(x.real) for x in u + vb) + 7.0
+    x, w = np.polynomial.legendre.leggauss(160)
+    s = 0.5 * L * (x + 1.0)
+    ws = 0.5 * L * w
+
+    def det_stack(rows):
+        if k == 2:
+            return np.einsum("a,b->ab", *rows) - np.einsum("b,a->ab", *rows)
+        out = np.zeros((s.size,) * 3, dtype=complex)
+        for perm, sgn in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                          ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+            spec = ",".join("abc"[j] for j in perm) + "->abc"
+            out += sgn * np.einsum(spec, *rows)
+        return out
+
+    kern = lambda a: np.exp(-((a - s) ** 2)) / math.sqrt(math.pi)
+    wprod = ws
+    for _ in range(k - 1):
+        wprod = np.multiply.outer(wprod, ws)
+    z_half = complex(np.sum(wprod * det_stack([kern(a) for a in u])
+                            * det_stack([kern(a) for a in vb])))
+    vand = 1.0 + 0.0j
+    for j in range(k):
+        for i in range(j):
+            vand *= (u[j] - u[i]) * (vb[j] - vb[i])
+    return z_half / vand
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_edge_km_cauchy_binet_equals_the_tensor_sum(k):
+    rng = np.random.default_rng(11 + k)
+    u = rng.normal(size=k) * 0.6 + 1j * rng.normal(size=k) * 0.6
+    v = rng.normal(size=k) * 0.6 + 1j * rng.normal(size=k) * 0.6
+    ref = _km_tensor_reference(u, v)
+    assert abs(edge_f_km(u, v) - ref) <= 1e-10 * abs(ref)
 
 
 def test_edge_km_size_guard():

@@ -194,3 +194,22 @@ def test_painleve_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(c["passed"] for c in doc["checks"])
+    ode = doc["outputs"][0]
+    assert ode["route"] == "pv-ode" and ode["nfev"] > 0
+
+
+@pytest.mark.parametrize(
+    "family, extra, route",
+    [
+        ("p4", ["--x", "0.4"], "piv-ode"),
+        ("p6", ["--alpha", "1.0", "--beta", "2.0", "--x", "0.3"], "pvi-ode"),
+    ],
+)
+def test_painleve_route_is_labelled_by_family(capsys, family, extra, route):
+    code, out = run_cli(capsys, "painleve", "--family", family, "--k", "1", *extra)
+    assert code == 0
+    doc = json.loads(out)
+    assert all(c["passed"] for c in doc["checks"])
+    ode = doc["outputs"][0]
+    assert ode["route"] == route
+    assert ode["nfev"] > 0 and ode["max_residual"] <= 1e-7

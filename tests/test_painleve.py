@@ -104,19 +104,45 @@ def test_piv_real_order():
     assert piv_f(-0.5, 7.5) == pytest.approx(1.0, abs=1e-4)
 
 
-def test_piv_f_warm_call_makes_no_solve(monkeypatch):
+def test_piv_f_warm_call_makes_no_solve(ode_calls):
     k = 1.37
     piv_f(k, 0.0)
-    calls = []
-    solve_ivp = painleve._integrate.solve_ivp
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(painleve._integrate, "solve_ivp", counting)
+    ode_calls.clear()
     assert 0.0 < piv_f(k, 0.75) < 1.0
-    assert calls == []
+    assert ode_calls == []
+
+
+def test_cold_piv_solution_bisects_on_the_bare_stepper(ode_calls):
+    sol = piv_solution.__wrapped__(1.0)
+    # only the accepted trajectory takes a dense solve_ivp; the ~55
+    # bisection solves construct the stepper directly
+    assert 1 <= ode_calls.count("solve_ivp") <= 3
+    assert ode_calls.count("DOP853") >= 40
+    assert sol.nfev > 100_000  # the bisection's evaluations are counted
+
+
+def test_bare_stepper_bisection_lands_on_the_event_solve_amplitude(monkeypatch):
+    cached = piv_solution(-0.5)
+    # bisect again with every side taken from the dense, event-driven solve
+    monkeypatch.setattr(
+        painleve, "_piv_side", lambda *args: (painleve._piv_classify(*args)[0], 0)
+    )
+    ref = piv_solution.__wrapped__(-0.5)
+    assert ref._piv_tail == cached._piv_tail
+    assert np.array_equal(ref.grid, cached.grid)
+    assert np.array_equal(ref.sigma, cached.sigma)
+
+
+@pytest.mark.parametrize("k", [1.0, -0.5, 1.37])
+def test_piv_side_matches_the_event_solve(k):
+    a = piv_solution(k)._piv_tail[0]
+    T1, Tdet = 8.0, -14.0
+    stops = set()
+    for d in (-1e-3, -1e-6, -1e-9, -1e-12, -1e-14, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3):
+        side, sol = painleve._piv_classify(k, a * (1.0 + d), T1, Tdet)
+        assert painleve._piv_side(k, a * (1.0 + d), T1, Tdet)[0] == side
+        stops.add(sol.status)
+    assert stops == {0, 1}  # both guard stops and runs that reach Tdet
 
 
 @pytest.mark.parametrize("k", [1.0, -0.5])
