@@ -18,9 +18,7 @@ from .ensembles import ChargeConfiguration, _rng, _sample_haar_batch
 
 __all__ = [
     "planar_moment_ginibre",
-    "planar_moment_tcue",
     "lemniscate_partition_quadrature",
-    "lemniscate_t0_radial",
     "haar_mc_hciz",
 ]
 
@@ -118,34 +116,6 @@ def planar_moment_ginibre(
     return math.log(num / den)
 
 
-def planar_moment_tcue(
-    m: int,
-    charges: ChargeConfiguration,
-    n_r: int = 400,
-    n_th: int = 256,
-) -> float:
-    """ln E prod_i |det(T - z_i)|^{gamma_i} for the N=1 truncation of Haar
-    U(M): one eigenvalue on the unit disc with weight (1-|lam|^2)^{M-2}."""
-    if m < 2:
-        raise ValueError("needs M >= 2 so the truncated block is proper")
-    center, idx, _mu = _pick_center(charges)
-    if idx >= 0 and abs(center) > 0:
-        raise ValueError("non-even exponents are supported at z = 0 only here")
-    if _mu >= 0.0:
-        idx = -1
-        _mu = 0.0
-    lam, wgt, rad = _polar_grid(0.0 + 0.0j, 1.0, n_r, n_th, mu=_mu)
-    inside = np.abs(lam) < 1.0
-    wfun = np.zeros(lam.shape)
-    wfun[inside] = (1.0 - np.abs(lam[inside]) ** 2) ** (m - 2)
-    f = wfun * _charge_factor(lam, charges, skip=idx)
-    lam0, wgt0, _ = _polar_grid(0.0 + 0.0j, 1.0, n_r, n_th)
-    wfun0 = np.zeros(lam0.shape)
-    ins0 = np.abs(lam0) < 1.0
-    wfun0[ins0] = (1.0 - np.abs(lam0[ins0]) ** 2) ** (m - 2)
-    return math.log(float(np.sum(wgt * f)) / float(np.sum(wgt0 * wfun0)))
-
-
 def lemniscate_partition_quadrature(
     t: float, n_r: int = 200, n_th: int = 256
 ) -> float:
@@ -158,23 +128,6 @@ def lemniscate_partition_quadrature(
     f = np.exp(expo)
     s0, s1, s2 = _pair_partition_sums(f, lam, wgt)
     return math.log(2.0 * (s2 * s0 - abs(s1) ** 2))
-
-
-def lemniscate_t0_radial(n: int, d: int, n_nodes: int = 400) -> float:
-    """ln Z^{Lem_d}_{Nd}(0) = ln (Nd)! + sum_j ln h_j with the radial norms
-    h_j = pi/d (Nd)^{-(j+1)/d} Gamma((j+1)/d) computed by 1-d quadrature."""
-    from scipy import integrate as _int
-    from scipy import special as _spp
-
-    total = float(_spp.gammaln(n * d + 1.0))
-    nd = n * d
-    for j in range(nd):
-        # h_j = pi int_0^inf s^j e^{-Nd s^d} ds  (s = r^2)
-        val, _ = _int.quad(
-            lambda s: s**j * math.exp(-nd * s**d), 0.0, np.inf, limit=400
-        )
-        total += math.log(math.pi * val)
-    return total
 
 
 def haar_mc_hciz(u, v, n_samples: int, seed: int):

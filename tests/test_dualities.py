@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from charpoly.dualities import (
     GinibreWeight,
@@ -29,9 +30,7 @@ from charpoly.ensembles import ChargeConfiguration
 from charpoly.oracles import (
     haar_mc_hciz,
     lemniscate_partition_quadrature,
-    lemniscate_t0_radial,
     planar_moment_ginibre,
-    planar_moment_tcue,
 )
 
 
@@ -130,7 +129,7 @@ def test_tcue_constant_c211():
     assert log_c_mnk(2, 1, 1) == pytest.approx(math.log(0.5), rel=1e-12)
 
 
-def test_tcue_exact_vs_planar_oracle():
+def test_tcue_exact_vs_planar_oracle(planar_moment_tcue):
     got = tcue_moment_exact(3, 1, 1, 0.4, 0.4)
     oracle = planar_moment_tcue(3, ChargeConfiguration((0.4,), (2.0,)))
     assert abs(math.expm1(got - oracle)) < 1e-6
@@ -228,6 +227,17 @@ def test_lemniscate_vs_quadrature():
     got = lemniscate_partition(1, 2, 0.3)
     oracle = lemniscate_partition_quadrature(0.3)
     assert abs(math.expm1(got - oracle)) < 1e-5
+
+
+def lemniscate_t0_radial(n: int, d: int) -> float:
+    """ln Z^{Lem_d}_{Nd}(0) = ln (Nd)! + sum_j ln h_j with the radial norms
+    h_j = pi int_0^inf s^j e^{-Nd s^d} ds (s = r^2) by 1-d quadrature."""
+    nd = n * d
+    total = math.lgamma(nd + 1.0)
+    for j in range(nd):
+        val, _ = integrate.quad(lambda s: s**j * math.exp(-nd * s**d), 0.0, np.inf, limit=400)
+        total += math.log(math.pi * val)
+    return total
 
 
 def test_lemniscate_t0_radial_norms():

@@ -9,7 +9,6 @@ from charpoly.oracles import (
     haar_mc_hciz,
     lemniscate_partition_quadrature,
     planar_moment_ginibre,
-    planar_moment_tcue,
 )
 
 
@@ -34,7 +33,7 @@ def test_planar_two_cusps_rejected():
         planar_moment_ginibre(2, cc)
 
 
-def test_planar_tcue_m2_uniform_disc():
+def test_planar_tcue_m2_uniform_disc(planar_moment_tcue):
     # M = 2, N = 1: eigenvalue uniform on the disc; E|lam - z|^2 = 1/2 + |z|^2
     for z in (0.0, 0.3):
         got = planar_moment_tcue(2, ChargeConfiguration((z,), (2.0,)))

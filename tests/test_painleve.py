@@ -114,11 +114,51 @@ def test_piv_f_warm_call_makes_no_solve(ode_calls):
 
 def test_cold_piv_solution_bisects_on_the_bare_stepper(ode_calls):
     sol = piv_solution.__wrapped__(1.0)
-    # only the accepted trajectory takes a dense solve_ivp; the ~55
-    # bisection solves construct the stepper directly
+    # the float kernel runs the ~46 estimate solves; scipy's stepper only
+    # checks the estimate and solves the midpoints within 1e-13 of it, and
+    # only the accepted trajectory takes a dense solve_ivp
     assert 1 <= ode_calls.count("solve_ivp") <= 3
-    assert ode_calls.count("DOP853") >= 40
+    assert ode_calls.count("_piv_side") <= 20
+    assert ode_calls.count("_piv_side_kernel") >= 40
     assert sol.nfev > 100_000  # the bisection's evaluations are counted
+
+
+# tail amplitudes of a bisection on scipy's DOP853 sides alone
+FROZEN_AMPLITUDES = {
+    1.0: "0x1.9884533d48963p-2",
+    2.0: "0x1.9f3731023d0a9p-2",
+    1.37: "0x1.cfcd332d98adep-2",
+    -0.5: "-0x1.a93b031ff513cp-4",
+    1.5: "0x1.d28709a19e5cbp-2",
+    3.0: "0x1.98d8d8568ae81p-3",
+    -0.9: "-0x1.141aaa3908399p-5",
+    1.638973: "0x1.cd108cf0cdfadp-2",
+}
+
+
+@pytest.mark.parametrize("k", sorted(FROZEN_AMPLITUDES))
+def test_piv_amplitude_is_the_scipy_bisection_root(k):
+    assert piv_solution(k)._piv_tail[0].hex() == FROZEN_AMPLITUDES[k]
+
+
+def test_piv_amplitude_falls_back_when_the_estimate_fails_its_check(monkeypatch, ode_calls):
+    kernel = painleve._piv_side_kernel
+    # a kernel whose root sits 1e-9 off scipy's fails the 1e-13 check, so
+    # every midpoint takes a scipy solve and the bracket is unchanged
+    monkeypatch.setattr(painleve, "_piv_side_kernel",
+                        lambda k, a, T1, Tdet: kernel(k, a * (1.0 + 1e-9), T1, Tdet))
+    sol = piv_solution.__wrapped__(1.0)
+    assert ode_calls.count("_piv_side") >= 40
+    assert sol._piv_tail[0].hex() == FROZEN_AMPLITUDES[1.0]
+
+
+@pytest.mark.parametrize("k", [1.0, -0.5, 1.37, 3.0, -0.9])
+def test_piv_side_kernel_matches_the_stepper(k):
+    a = piv_solution(k)._piv_tail[0]
+    for m in range(2, 13):
+        for d in (-(10.0**-m), 10.0**-m):
+            x = a * (1.0 + d)
+            assert painleve._piv_side_kernel(k, x, 8.0, -14.0)[0] == painleve._piv_side(k, x, 8.0, -14.0)[0]
 
 
 def test_bare_stepper_bisection_lands_on_the_event_solve_amplitude(monkeypatch):
