@@ -11,9 +11,9 @@ is assessed via ratios along growing N.
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy import special as _sp
 
 from . import confluent as _confluent
 from . import gap as _gap
@@ -157,81 +157,48 @@ def noninteger_bulk(n: int, gamma: float, k2: int, u2: float) -> float:
 # multi-charge edge: error-function kernel and Karlin-McGregor quadrature
 # ---------------------------------------------------------------------------
 
-def _poly_diff(p: dict, var: int) -> dict:
-    out = {}
-    for (i, j), c in p.items():
-        e = (i, j)[var]
-        if e:
-            key = (i - 1, j) if var == 0 else (i, j - 1)
-            out[key] = out.get(key, 0.0) + c * e
-    return out
-
-
-def _poly_shift_mul(p: dict, du: int, dv: int, c: float) -> dict:
-    return {(i + du, j + dv): cc * c for (i, j), cc in p.items()}
-
-
-def _poly_add(*ps) -> dict:
-    out = {}
-    for p in ps:
-        for key, c in p.items():
-            out[key] = out.get(key, 0.0) + c
-    return out
-
-
-@lru_cache(maxsize=256)
-def _kerf_deriv_poly(p: int, q: int):
-    """(P, Q) polynomial pair with d_u^p d_v^q K_erf = (P G E + Q G H),
-    where G = e^{-(u-v)^2/2}, E = erfc(-(u+v)/sqrt2), H = sqrt(2/pi) e^{-(u+v)^2/2}.
-
-    Closed derivative algebra: d_u(GE) = -(u-v) GE + GH, d_u(GH) = -2u GH,
-    d_v(GE) = (u-v) GE + GH, d_v(GH) = -2v GH.
-    """
-    if p == 0 and q == 0:
-        return {(0, 0): 1.0}, {}
-    if q > 0:
-        P, Q = _kerf_deriv_poly(p, q - 1)
-        newP = _poly_add(
-            _poly_diff(P, 1),
-            _poly_shift_mul(P, 1, 0, 1.0),
-            _poly_shift_mul(P, 0, 1, -1.0),
-        )
-        newQ = _poly_add(P, _poly_diff(Q, 1), _poly_shift_mul(Q, 0, 1, -2.0))
-        return newP, newQ
-    P, Q = _kerf_deriv_poly(p - 1, 0)
-    newP = _poly_add(
-        _poly_diff(P, 0),
-        _poly_shift_mul(P, 1, 0, -1.0),
-        _poly_shift_mul(P, 0, 1, 1.0),
-    )
-    newQ = _poly_add(P, _poly_diff(Q, 0), _poly_shift_mul(Q, 1, 0, -2.0))
-    return newP, newQ
-
-
-def _poly_eval(p: dict, u: complex, v: complex) -> complex:
-    return sum(c * u**i * v**j for (i, j), c in p.items())
-
-
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def _kerf_deriv(p: int, q: int, u: complex, v: complex) -> complex:
-    P, Q = _kerf_deriv_poly(p, q)
-    g = cmath.exp(-0.5 * (u - v) ** 2)
-    e = erfc_complex(-(u + v) / math.sqrt(2.0))
-    h = _SQRT_2_OVER_PI * cmath.exp(-0.5 * (u + v) ** 2)
-    fac = math.factorial(p) * math.factorial(q)
-    return (_poly_eval(P, u, v) * g * e + _poly_eval(Q, u, v) * g * h) / fac
+def _kerf_taylor(P: int, Q: int, u: complex, v: complex) -> np.ndarray:
+    """Taylor block d_u^p d_v^q K_erf(u, v) / (p! q!), p < P, q < Q, of
+    K_erf = e^{-(u-v)^2/2} erfc(-(u+v)/sqrt2) = e^{-delta^2} erfc(-sigma),
+    delta, sigma = (u -+ v)/sqrt2: the product of the series
+      e^{-(delta+e)^2} = e^{-delta^2} sum_n (-1)^n H_n(delta) e^n / n!,
+      erfc(-(sigma+e)) = erfc(-sigma) + 2/sqrt(pi) e^{-sigma^2}
+                         sum_{n>=1} (-1)^{n-1} H_{n-1}(sigma) e^n / n!,
+    with e = (x -+ y)/sqrt2 (H_n the physicists' Hermite polynomials)."""
+    g0 = cmath.exp(-0.5 * (u - v) ** 2)
+    e0 = erfc_complex(-(u + v) / math.sqrt(2.0))
+    if P == Q == 1:  # a pair of single points, the common case
+        return np.array([[e0 * g0]])
+    n = P + Q - 1
+    delta, sigma = (u - v) / math.sqrt(2.0), (u + v) / math.sqrt(2.0)
+    hd, hs = [1.0, 2.0 * delta], [1.0, 2.0 * sigma]  # H_k / k!
+    for k in range(1, n):
+        hd.append((2.0 * delta * hd[k] - 2.0 * hd[k - 1]) / (k + 1))
+        hs.append((2.0 * sigma * hs[k] - 2.0 * hs[k - 1]) / (k + 1))
+    gs = np.array([g0 * (-1) ** k * hd[k] for k in range(n)])
+    lead = 2.0 / math.sqrt(math.pi) * cmath.exp(-sigma * sigma)
+    es = np.array([e0] + [lead * (-1) ** (k - 1) * hs[k - 1] / k for k in range(1, n)])
+    i, j = np.arange(P)[:, None], np.arange(Q)
+    c = _sp.binom(i + j, i) * 0.5 ** (0.5 * (i + j))  # [x^i y^j] ((x +- y)/sqrt2)^(i+j)
+    a, b = es[i + j] * c, gs[i + j] * c * (-1.0) ** j
+    block = np.zeros((P, Q), dtype=complex)
+    for p in range(P):
+        for q in range(Q):
+            block[p:, q:] += a[p, q] * b[:P - p, :Q - q]
+    return block
 
 
 def edge_f_det(u, v) -> complex:
     """F^edge_k via the error-function-kernel determinant:
     k!/(2^k (2pi)^{k/2}) det{K_erf(u_i, conj(v_j))}/(Delta(u) Delta(conj(v))),
-    with confluent divided differences for coincident entries."""
+    exact at any separation of the points, coincident ones included (nearby
+    points enter through Newton divided differences, see ``confluent``)."""
     u = [complex(x) for x in u]
     vb = [complex(x).conjugate() for x in v]
     k = len(u)
-    ratio = _confluent.det_ratio(u, vb, _kerf_deriv)
+    ratio = _confluent.det_ratio(
+        u, vb, lambda P, Q, a, b: (_kerf_taylor(P, Q, a, b), 0.0, 0.0)
+    )
     return ratio * math.factorial(k) / (2.0**k * (2.0 * math.pi) ** (k / 2.0))
 
 

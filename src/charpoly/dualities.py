@@ -36,7 +36,7 @@ __all__ = [
     "tcue_moment_exact",
     "tcue_moment_toeplitz",
     "hciz_ratio",
-    "hciz_exp_deriv",
+    "hciz_exp_taylor",
     "lemniscate_partition",
     "lemniscate_gamma_exponents",
     "log_c_lemniscate",
@@ -187,26 +187,20 @@ def _ginibre_symbol_coeff(m: int, gamma: float, w: float) -> float:
     )
 
 
-def _tcue_symbol_coeff(m: int, gamma: float, kappa: float, rho: float,
-                       rtol: float = 1e-15) -> float:
-    """Fourier coefficient of (1 + conj(lam))^{gamma/2} (1 + rho lam)^{kappa+gamma/2}:
-    sum_j binom(gamma/2, j) binom(kappa+gamma/2, m+j) rho^{m+j}."""
-    j0 = max(0, -m)
-    if rho == 0.0:
-        return float(_sp.binom(0.5 * gamma, -m)) if m <= 0 else 0.0
-    s = kappa + 0.5 * gamma
-    jmax = j0 + 256
-    while True:
-        j = np.arange(j0, jmax, dtype=float)
-        terms = _sp.binom(0.5 * gamma, j) * _sp.binom(s, m + j) * rho ** (m + j)
-        total = float(terms.sum())
-        # algebraic tail at rho=1: bound by last term * equivalent decay length
-        tail_scale = len(j) if rho > 0.999 else 1.0 / max(1e-9, 1.0 - rho)
-        if abs(terms[-1]) * tail_scale <= rtol * max(abs(total), 1e-300):
-            return total
-        jmax *= 2
-        if jmax > 2_000_000:
-            raise FloatingPointError("tcue symbol series did not converge")
+def _tcue_symbol_coeff(m: int, gamma: float, kappa: float, rho: float) -> float:
+    """Fourier coefficient of (1 + conj(lam))^g (1 + rho lam)^s, g = gamma/2,
+    s = kappa + gamma/2, i.e. sum_j binom(g, j) binom(s, m+j) rho^{m+j}, in
+    closed form:
+      m >= 0: binom(s, m) rho^m 2F1(-g, m-s; m+1; rho)
+      m <  0: binom(g, -m) 2F1(-m-g, -s; 1-m; rho)
+    At rho = 1 the series converge by Gauss's theorem, c - a - b = 1 + g + s.
+    """
+    g = 0.5 * gamma
+    s = kappa + g
+    if m >= 0:
+        return float(_sp.binom(s, m) * rho**m * _sp.hyp2f1(-g, m - s, m + 1.0, rho))
+    q = -m
+    return float(_sp.binom(g, q) * _sp.hyp2f1(q - g, -s, q + 1.0, rho))
 
 
 _TOEPLITZ_MAX_N = 32
@@ -384,21 +378,21 @@ def tcue_moment_factored(m: int, n: int, k: int, absz: float) -> float:
 # HCIZ
 # ---------------------------------------------------------------------------
 
-def hciz_exp_deriv(p: int, q: int, a: complex, b: complex) -> complex:
-    """d_u^p d_v^q e^{uv} / (p! q!) at (a, b)."""
-    total = 0.0 + 0.0j
-    for r in range(min(p, q) + 1):
-        total += (
-            a ** (q - r)
-            * b ** (p - r)
-            / (math.factorial(r) * math.factorial(p - r) * math.factorial(q - r))
-        )
-    return cmath.exp(a * b) * total
+def hciz_exp_taylor(P: int, Q: int, a: complex, b: complex) -> np.ndarray:
+    """Taylor block d_u^p d_v^q e^{uv} / (p! q!) at (a, b), p < P, q < Q:
+    e^{ab} sum_r b^{p-r} a^{q-r} / (r! (p-r)! (q-r)!)."""
+    if P == Q == 1:  # a pair of single points, the common case
+        return np.array([[cmath.exp(a * b)]])
+    r = np.arange(max(P, Q))
+    e = np.maximum(r[:, None] - r, 0)
+    tri = (r[:, None] >= r) / _sp.gamma(e + 1.0)  # 1/(p-r)! on and below the diagonal
+    return cmath.exp(a * b) * ((b**e * tri)[:P] / _sp.gamma(r + 1.0)) @ (a**e * tri)[:Q].T
 
 
 def hciz_ratio(u, v) -> complex:
-    """det{e^{u_i conj(v)_j}} / (Delta(u) Delta(conj(v))), confluent limits
-    taken by exact derivatives when entries coincide within 1e-8.
+    """det{e^{u_i conj(v)_j}} / (Delta(u) Delta(conj(v))) at any separation
+    of the points, coincident ones included: nearby points enter through
+    exact Newton divided differences (see ``confluent``).
 
     Equals 1/G(1+k) times the U(k) group integral of exp Tr(U A U^dag B^bar).
     """
@@ -406,7 +400,9 @@ def hciz_ratio(u, v) -> complex:
     vbar = [complex(t).conjugate() for t in v]
     if len(u) != len(vbar) or not u:
         raise ValueError("u and v must have equal positive length")
-    return _confluent.det_ratio(u, vbar, hciz_exp_deriv)
+    return _confluent.det_ratio(
+        u, vbar, lambda P, Q, a, b: (hciz_exp_taylor(P, Q, a, b), 0.0, 0.0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +474,10 @@ def _kernel_coeffs(w: RadialWeightSpec, nterms: int) -> np.ndarray:
 
 def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
     """ln E prod_i |det(A - z_i)|^{2 k_i} for a radial-weight point process,
-    via the polynomial-kernel determinant with exact termwise derivatives at
-    confluent points: det{B_{N+k}(x_i, conj(y)_j)}/(Delta Delta^bar) * prod h.
+    via the polynomial-kernel determinant
+    det{B_{N+k}(x_i, conj(y)_j)}/(Delta Delta^bar) * prod h, with
+    B(x, y) = sum_j x^j y^j / h_j, exact at any separation of the charges
+    (nearby ones enter through Newton divided differences, see ``confluent``).
     """
     pts, ks = [], []
     for z, g in zip(charges.points, charges.exponents):
@@ -493,27 +491,38 @@ def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
     if k == 0:
         return 0.0  # empty product of characteristic polynomials
     n = w.n
-    # 1/h_j overflows near j ~ N for large N; scale the kernel by
-    # exp(-max ln(1/h_j)) and restore the k-th power in the total
     lo = _kernel_coeffs(w, n + k)
-    coeffs = np.exp(lo - lo.max())
+    half_lo = 0.5 * lo
     powers = np.arange(n + k, dtype=float)
 
-    def b_deriv(p, q, a, bb):
-        cp = _sp.binom(powers, p) * _sp.binom(powers, q) * coeffs
-        with np.errstate(invalid="ignore"):
-            xa = np.where(powers >= p, a ** np.maximum(powers - p, 0.0), 0.0)
-            yb = np.where(powers >= q, bb ** np.maximum(powers - q, 0.0), 0.0)
-        return complex(np.sum(cp * xa * yb))
+    @lru_cache(maxsize=None)
+    def factor(a, size):
+        # X[j, p] = binom(j, p) a^{j-p} e^{lo_j/2 - s} with s = max_j (lo_j/2 +
+        # j ln|a|), so that X_a^T X_b e^{s_a + s_b} is the Taylor block of B;
+        # 1/h_j and a^j over- and underflow separately for large N
+        p = np.arange(size, dtype=float)
+        e = powers[:, None] - p
+        if a == 0:
+            return np.where(e == 0, np.exp(half_lo - half_lo[0])[:, None], 0.0), half_lo[0]
+        s = np.max(half_lo + powers * math.log(abs(a)))
+        log_x = np.where(e >= 0, half_lo[:, None] - s + e * cmath.log(a), -np.inf)
+        binom = np.cumprod(np.hstack([np.ones((len(powers), 1)), e[:, :-1] / p[1:]]), axis=1)
+        return binom * np.exp(log_x), s
+
+    def taylor(P, Q, a, b):
+        # the coefficients 1/h_j are real, so X_b = conj(X_conj(b)); every y
+        # centre here is the conjugate of an x centre, whose factor is cached
+        xa, sa = factor(a, P)
+        xb, sb = factor(b.conjugate(), Q)
+        return xa.T @ xb.conj(), sa, sb
 
     xs, ys = [], []
     for z, kk in zip(pts, ks):
         xs.extend([z] * kk)
         ys.extend([z.conjugate()] * kk)
-    logratio = _confluent.log_det_ratio(xs, ys, b_deriv)
-    total = logratio + k * lo.max() - lo[n:n + k].sum()
-    # terms of B that underflow (N >~ 750 at small |z|) or overflow (large
-    # N|z|^2) leave a non-finite or wrong-phase log; refuse it
+    total = _confluent.log_det_ratio(xs, ys, taylor) - lo[n:n + k].sum()
+    # kernel terms that still over- or underflow leave a non-finite or
+    # wrong-phase log; refuse it
     phase = math.remainder(total.imag, 2.0 * math.pi)
     if not math.isfinite(total.real) or abs(phase) > 1e-7:
         raise FloatingPointError(

@@ -9,6 +9,7 @@ Toeplitz vs Painleve transport vs Monte Carlo vs brute-force quadrature) and
 records the worst observed deviation against its tolerance.
 """
 
+import cmath
 import json
 import math
 import time
@@ -234,8 +235,9 @@ def check_tcue(level: str, seed: int):
 
 
 def check_hciz(level: str, seed: int):
-    """HCIZ determinant ratio vs Haar Monte Carlo, and the
-    block trace identity on sampled unitaries."""
+    """HCIZ determinant ratio vs Haar Monte Carlo, vs the U(2) closed form
+    with nearly merged points, and the block trace identity on sampled
+    unitaries."""
     rng = np.random.default_rng(seed)
     u = rng.normal(size=3) * 0.6 + 1j * rng.normal(size=3) * 0.6
     v = rng.normal(size=3) * 0.6 + 1j * rng.normal(size=3) * 0.6
@@ -245,6 +247,17 @@ def check_hciz(level: str, seed: int):
     mc, err = oracles.haar_mc_hciz(u, v, 100_000 if level == "full" else 20_000, seed)
     dev = abs(pred - mc) / max(err, 1e-300)
     out = [_result("c09_hciz_vs_haar_mc", dev, 3.0, "k=3 complex points")]
+    # k = 2: e^B (e^{A-B} - 1)/(A - B) with A - B = (u1 - u2)(conj v1 - conj v2)
+    worst = 0.0
+    for sep in (1e-9, 1e-7, 1e-5):
+        uu = (u[0], u[0] + sep * cmath.exp(0.3j))
+        vb = np.conj(v[:2])
+        d = (uu[0] - uu[1]) * (vb[0] - vb[1])
+        want = cmath.exp(uu[0] * vb[1] + uu[1] * vb[0]) * np.expm1(d) / d
+        worst = max(worst, abs(dual.hciz_ratio(uu, v[:2]) / want - 1.0))
+    out.append(
+        _result("c09_hciz_near_coincident", worst, 1e-10, "k=2, separations 1e-9..1e-5")
+    )
     from .ensembles import _rng as rng_stream, sample_haar_unitary
 
     k1, k2 = 2, 1

@@ -188,6 +188,24 @@ def test_edge_k1_erfc_form():
         assert got == pytest.approx(0.5 * erfc(-math.sqrt(2.0) * u), abs=1e-12)
 
 
+def test_kerf_taylor_block_vs_mpmath_derivatives():
+    import mpmath
+
+    from charpoly.asymptotics import _kerf_taylor
+
+    u, v = 0.7 - 0.4j, -0.3 + 1.1j
+    block = _kerf_taylor(5, 4, u, v)
+    with mpmath.workdps(30):
+        def kerf(x, y):
+            return mpmath.exp(-((x - y) ** 2) / 2) * mpmath.erfc(-(x + y) / mpmath.sqrt(2))
+
+        for p in range(5):
+            for q in range(4):
+                want = mpmath.diff(kerf, (mpmath.mpc(u), mpmath.mpc(v)), (p, q))
+                want /= mpmath.factorial(p) * mpmath.factorial(q)
+                assert block[p, q] == pytest.approx(complex(want), rel=1e-12, abs=1e-14)
+
+
 def test_edge_degenerate_matches_separated():
     conf = edge_f_det([0.4, 0.4], [0.2, 0.7])
     sep = edge_f_det([0.4, 0.4 + 1e-6], [0.2, 0.7])

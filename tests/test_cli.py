@@ -165,10 +165,8 @@ def test_exact_agreement_over_returned_routes(capsys):
     "argv",
     [
         ["painleve", "--family", "p4", "--k", "1", "--x", "0", "--tol", "1e-13"],
-        ["asym", "--expansion", "two-charge", "--n", "800", "--k", "1", "--k2", "1",
-         "--z", "0.1", "--u1", "0", "--u2", "1"],
     ],
-    ids=["piv-residual-gate", "correlator-overflow"],
+    ids=["piv-residual-gate"],
 )
 def test_numerical_refusal_exits_1_with_one_line(capsys, argv):
     code = main(argv)
@@ -177,6 +175,22 @@ def test_numerical_refusal_exits_1_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_asym_two_charge_large_n_small_z_returns_value(capsys):
+    # at N = 800 and |z| = 0.1 the kernel's 1/h_j and |z|^j over- and
+    # underflow on their own
+    code, out = run_cli(
+        capsys, "asym", "--expansion", "two-charge", "--n", "800", "--k", "1",
+        "--k2", "1", "--z", "0.1", "--u1", "0", "--u2", "1",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    exact = [r for r in doc["outputs"] if r["route"] == "exact"][0]["log_value"]
+    # det{B_802(x_i, conj x_j)}/|Delta|^2 * prod h in 160-digit mpmath
+    assert exact == pytest.approx(-1562.5932628214266, abs=1e-9)
+    ratio = [r for r in doc["outputs"] if r["name"] == "ratio"][0]["ratio"]
+    assert abs(ratio - 1.0) < 0.01
 
 
 @pytest.mark.parametrize("command", ["exact", "mc"])
