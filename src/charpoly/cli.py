@@ -54,7 +54,7 @@ def cmd_exact(args) -> RunReport:
     if args.ensemble == "ginibre":
         routes = [("exact", lambda: dual.ginibre_moment_exact(n, k, z))] if k is not None else []
         routes += [
-            ("toeplitz", lambda: dual.ginibre_moment_toeplitz(n, gamma, z)),
+            ("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z)),
             ("pv", lambda: dual.ginibre_moment_pv(n, gamma, z, args.tol)),
         ]
         tol = max(1e-6, 10 * args.tol)
@@ -66,7 +66,7 @@ def cmd_exact(args) -> RunReport:
             ("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate())),
             ("exact-jue-factored", lambda: dual.tcue_moment_factored(m, n, k, abs(z))),
         ] if k is not None else []
-        routes.append(("toeplitz", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z)))
+        routes.append(("gram", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z)))
         tol = 1e-8
     reasons = []
     for route, fn in routes:
@@ -89,20 +89,12 @@ def cmd_mc(args) -> RunReport:
     gamma = args.gamma if args.gamma is not None else 2.0 * args.k
     charges = ChargeConfiguration((z,), (gamma,))
     if args.ensemble == "ginibre":
-        spec = Ginibre(args.n)
-        exact = (
-            dual.ginibre_moment_exact(args.n, args.k, z) if args.k is not None else
-            dual.ginibre_moment_toeplitz(args.n, gamma, z)
-        )
+        spec, exact = Ginibre(args.n), dual.ginibre_moment_toeplitz(args.n, gamma, z)
+    elif args.m is None:
+        raise ValueError("--m is required for the truncated CUE")
     else:
-        if args.m is None:
-            raise ValueError("--m is required for the truncated CUE")
         spec = TruncatedCUE(args.m, args.n)
-        exact = (
-            dual.tcue_moment_exact(args.m, args.n, args.k, z, complex(z).conjugate())
-            if args.k is not None and abs(complex(z).imag) < 1e-12
-            else None
-        )
+        exact = dual.tcue_moment_toeplitz(args.m, args.n, gamma, z)
     est = mc_moment(spec, charges, args.samples, args.seed)
     rep.outputs.append(
         _record(
@@ -117,12 +109,11 @@ def cmd_mc(args) -> RunReport:
             },
         )
     )
-    if exact is not None:
-        rep.outputs.append(_record("moment", "exact", exact))
-        dev = abs(est.mean_shifted - math.exp(exact - est.log_shift))
-        rep.checks.append(asdict(
-            _result("mc_within_3_stderr", dev / max(est.stderr_shifted, 1e-300), 3.0)
-        ))
+    rep.outputs.append(_record("moment", "exact", exact))
+    dev = abs(est.mean_shifted - math.exp(exact - est.log_shift))
+    rep.checks.append(asdict(
+        _result("mc_within_3_stderr", dev / max(est.stderr_shifted, 1e-300), 3.0)
+    ))
     return rep
 
 
@@ -204,22 +195,10 @@ def cmd_asym(args) -> RunReport:
     th = args.expansion
     if th == "interior":
         a = asym.bulk_interior(args.n, args.gamma, z)
-        half = 0.5 * args.gamma
-        ex = (
-            dual.ginibre_moment_exact(args.n, int(round(half)), z)
-            if abs(half - round(half)) < 1e-12 and half >= 1
-            else dual.ginibre_moment_toeplitz(args.n, args.gamma, z)
-        )
-    elif th == "edge":
-        a = asym.ginibre_edge(args.n, args.k, z)
-        ex = (
-            dual.ginibre_moment_exact(args.n, int(args.k), z)
-            if abs(args.k - round(args.k)) < 1e-12
-            else dual.ginibre_moment_toeplitz(args.n, 2 * args.k, z)
-        )
-    elif th == "exterior":
-        a = asym.ginibre_exterior(args.n, args.k, z)
-        ex = dual.ginibre_moment_exact(args.n, int(args.k), z)
+        ex = dual.ginibre_moment_toeplitz(args.n, args.gamma, z)
+    elif th in ("edge", "exterior"):
+        a = (asym.ginibre_edge if th == "edge" else asym.ginibre_exterior)(args.n, args.k, z)
+        ex = dual.ginibre_moment_toeplitz(args.n, 2.0 * args.k, z)
     elif th == "two-charge":
         a = asym.bulk_two_charge(args.n, args.k, int(args.k2), z, args.u1, args.u2)
         rn = math.sqrt(args.n)

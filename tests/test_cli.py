@@ -6,6 +6,7 @@ import math
 import pytest
 
 from charpoly.cli import main
+from charpoly.dualities import ginibre_moment_toeplitz
 
 
 def run_cli(capsys, *argv):
@@ -21,8 +22,8 @@ def test_exact_routes_agree(capsys):
     assert code == 0
     doc = json.loads(out)
     routes = {r["route"]: r["log_value"] for r in doc["outputs"]}
-    assert set(routes) == {"exact", "toeplitz", "pv"}
-    assert abs(routes["exact"] - routes["toeplitz"]) < 1e-10
+    assert set(routes) == {"exact", "gram", "pv"}
+    assert abs(routes["exact"] - routes["gram"]) < 1e-10
     assert doc["checks"][0]["passed"]
 
 
@@ -67,7 +68,7 @@ def test_tcue_exact(capsys):
     assert code == 0
     doc = json.loads(out)
     routes = {r["route"] for r in doc["outputs"]}
-    assert "exact-jue-factored" in routes and "toeplitz" in routes
+    assert "exact-jue-factored" in routes and "gram" in routes
 
 
 def test_asym_report(capsys):
@@ -79,6 +80,20 @@ def test_asym_report(capsys):
     doc = json.loads(out)
     ratio = next(r for r in doc["outputs"] if r["name"] == "ratio")
     assert abs(ratio["ratio"] - 1.0) < 0.05
+
+
+def test_asym_exterior_non_integer_k_compares_the_same_exponent(capsys):
+    # the exterior reference once took ginibre_moment_exact(N, int(k), z),
+    # the k = 1 moment, and read ratio 4.3e-8 here
+    code, out = run_cli(
+        capsys, "asym", "--expansion", "exterior", "--n", "40", "--k", "1.5", "--z", "1.5",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    exact = next(r for r in doc["outputs"] if r["route"] == "exact")["log_value"]
+    assert exact == pytest.approx(ginibre_moment_toeplitz(40, 3.0, 1.5), abs=1e-12)
+    ratio = next(r for r in doc["outputs"] if r["name"] == "ratio")["ratio"]
+    assert ratio == pytest.approx(0.9523, abs=1e-3)
 
 
 def test_lemniscate_critical_flagged(capsys):
@@ -127,9 +142,9 @@ def test_domain_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv, skipped",
     [
-        (["--n", "40", "--k", "1", "--z", "0.5"], {"toeplitz", "pv"}),
+        (["--n", "40", "--k", "1", "--z", "0.5"], {"pv"}),
         (["--ensemble", "tcue", "--n", "3", "--m", "5", "--k", "1", "--z", "1.5"],
-         {"exact-jue-factored", "toeplitz"}),
+         {"exact-jue-factored"}),
     ],
     ids=["ginibre-n40", "tcue-outside-disc"],
 )
@@ -139,8 +154,10 @@ def test_exact_skips_refusing_routes(capsys, argv, skipped):
     doc = json.loads(out)
     assert {r["route"] for r in doc["outputs"] if "skipped" in r} == skipped
     assert all(r["skipped"] for r in doc["outputs"] if "skipped" in r)
-    assert [r["route"] for r in doc["outputs"] if "skipped" not in r] == ["exact"]
-    assert doc["checks"] == []  # one route left: nothing to agree with
+    assert [r["route"] for r in doc["outputs"] if "skipped" not in r] == ["exact", "gram"]
+    # the two returned routes are checked against each other
+    assert [c["name"] for c in doc["checks"]] == ["route_agreement"]
+    assert doc["checks"][0]["passed"]
 
 
 def test_exact_agreement_over_returned_routes(capsys):
@@ -150,7 +167,7 @@ def test_exact_agreement_over_returned_routes(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert [r["route"] for r in doc["outputs"]] == ["toeplitz"]
+    assert [r["route"] for r in doc["outputs"]] == ["gram"]
     assert doc["checks"] == []
     code, out = run_cli(
         capsys, "exact", "--ensemble", "tcue", "--n", "3", "--m", "5", "--k", "1",

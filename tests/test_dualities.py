@@ -20,7 +20,6 @@ from charpoly.dualities import (
     log_c_mnk,
     log_r_gamma_zero,
     log_tcue_r_gamma_one,
-    log_tcue_r_gamma_zero,
     log_z_ginibre,
     tcue_moment_exact,
     tcue_moment_factored,
@@ -101,6 +100,83 @@ def test_rotational_invariance():
             assert route(0.5 * cmath.exp(1j * arg)) == pytest.approx(base, abs=1e-12)
 
 
+# -- Gram route: accuracy and envelope ---------------------------------------
+
+def test_gram_at_formerly_broken_toeplitz_point():
+    # the Toeplitz-symbol route read 0.181 off in log here
+    assert ginibre_moment_toeplitz(32, 2.0, 0.8) == pytest.approx(
+        ginibre_moment_exact(32, 1, 0.8), abs=1e-9
+    )
+
+
+@pytest.mark.parametrize("n", [64, 200, 800])
+def test_gram_large_n_k1_and_k2(n):
+    for r in (0.0, 0.3, 0.7, 1.0, 1.2, 1.4):
+        z = r * cmath.exp(0.7j)
+        assert ginibre_moment_toeplitz(n, 2.0, z) == pytest.approx(
+            ginibre_moment_exact(n, 1, z), abs=1e-9
+        )
+        assert ginibre_moment_toeplitz(n, 4.0, z) == pytest.approx(
+            correlator_finiteN(GinibreWeight(n), ChargeConfiguration((z,), (4.0,))), abs=1e-9
+        )
+
+
+def _toeplitz_80_digits(n, gamma, absz):
+    """ln E|det(G_N - z)|^gamma as the N x N Toeplitz determinant of the
+    symbol (1 + conj(lam))^{gamma/2} e^{N|z|^2 lam}, whose Laurent
+    coefficients are Kummer functions, in 80-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        g = mp.mpf(gamma) / 2
+        w = n * mp.mpf(absz) ** 2
+
+        def coeff(m):
+            if m >= 0:
+                return mp.exp(-w) * w**m / mp.factorial(m) * mp.hyp1f1(m + 1 + g, m + 1, w)
+            return mp.binomial(g, -m) * mp.exp(-w) * mp.hyp1f1(g + 1, 1 - m, w)
+
+        c = {m: coeff(m) for m in range(1 - n, n)}
+        det = mp.det(mp.matrix([[c[i - j] for j in range(n)] for i in range(n)]))
+        pref = -g * n * mp.log(n) + mp.fsum(
+            mp.loggamma(g + j + 1) - mp.loggamma(j + 1) for j in range(n)
+        )
+        return float(pref + mp.log(det))
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    # the last three sit next to integers, where the recurrence and the
+    # connection formulas lose 1/distance unless handled apart
+    [-1.9, -4.0 / 3.0, -1.0, -0.5, 1.3, 3.1, -1.0015, 2.0 + 1e-6, 3.0 - 1e-8],
+)
+def test_gram_non_even_gamma_vs_80_digit_toeplitz(gamma):
+    for n in (2, 8, 16):
+        for r in (0.3, 1.0, 1.4):
+            assert ginibre_moment_toeplitz(n, gamma, r) == pytest.approx(
+                _toeplitz_80_digits(n, gamma, r), abs=1e-9
+            )
+
+
+def test_gram_refuses_outside_its_envelope():
+    with pytest.raises(ValueError, match="N <= 64"):
+        ginibre_moment_toeplitz(65, 1.3, 0.5)
+    with pytest.raises(ValueError, match="N < 400"):
+        tcue_moment_toeplitz(402, 400, 2.0, 1.0)
+    with pytest.raises(ValueError, match="gamma >= -1.95"):
+        ginibre_moment_toeplitz(4, -1.99, 0.5)
+    with pytest.raises(ValueError, match=r"\|gamma \+ 1\| = 0 or >= 1e-3"):
+        ginibre_moment_toeplitz(4, -1.0005, 0.5)
+
+
+@pytest.mark.xfail(strict=True, reason="ginibre_moment_exact: the LUE-tail Hankel "
+                   "loses accuracy as k and N|z|^2 grow (its docstring table)")
+@pytest.mark.parametrize("n, k, z", [(800, 2, 1.45), (200, 3, 1.4 * cmath.exp(0.7j))])
+def test_exact_route_at_large_n_z2_vs_gram(n, k, z):
+    assert ginibre_moment_exact(n, k, z) == pytest.approx(
+        ginibre_moment_toeplitz(n, 2.0 * k, z), abs=1e-9
+    )
+
+
 # -- Painleve V route --------------------------------------------------------
 
 def test_pv_route_matches_exact_and_toeplitz():
@@ -167,10 +243,16 @@ def test_tcue_toeplitz_morris_at_one():
 
 def test_tcue_toeplitz_gamma_zero_and_prefactor_consistency():
     assert tcue_moment_toeplitz(5, 3, 0.0, 0.5) == 0.0
-    # prefactor at even gamma equals the finite product C_{M,N,k}
-    assert log_tcue_r_gamma_zero(6, 4, 4.0) == pytest.approx(
-        log_c_mnk(6, 4, 2), rel=1e-12
-    )
+    # at z = 0: E|det T|^gamma = prod_j Gamma(g+j+1) Gamma(j+kappa+1)
+    # / (Gamma(j+1) Gamma(g+j+kappa+1)), g = gamma/2
+    for m, n, gamma in ((6, 4, 4.0), (12, 8, 1.3), (9, 8, -1.0), (40, 8, -1.9)):
+        kap, g = m - n, 0.5 * gamma
+        want = sum(
+            math.lgamma(g + j + 1) + math.lgamma(j + kap + 1)
+            - math.lgamma(j + 1) - math.lgamma(g + j + kap + 1)
+            for j in range(n)
+        )
+        assert tcue_moment_toeplitz(m, n, gamma, 0.0) == pytest.approx(want, abs=1e-10)
 
 
 def test_tcue_size_guard():
