@@ -40,6 +40,7 @@ def main(argv=None) -> int:
             print(
                 f"ginibre N=8 k={k} z={z}: exact_log={exact:+.6f} "
                 f"mc_log={est.log_value:+.6f} dev={nsig:.2f} sigma "
+                f"ess={est.ess:.0f}/{est.n_samples} "
                 f"[{time.time()-t0:.1f}s] {'ok' if ok else 'OUTSIDE 3 SIGMA'}"
             )
     for m, n, k, z in ((8, 6, 1, 0.5), (2, 1, 1, 0.0)):
@@ -53,7 +54,8 @@ def main(argv=None) -> int:
         bad += not ok
         print(
             f"tcue M={m} N={n} k={k} z={z}: exact_log={exact:+.6f} "
-            f"mc_log={est.log_value:+.6f} dev={nsig:.2f} sigma {'ok' if ok else 'OUTSIDE 3 SIGMA'}"
+            f"mc_log={est.log_value:+.6f} dev={nsig:.2f} sigma "
+            f"ess={est.ess:.0f}/{est.n_samples} {'ok' if ok else 'OUTSIDE 3 SIGMA'}"
         )
     return 1 if bad else 0
 

@@ -106,6 +106,7 @@ def cmd_mc(args) -> RunReport:
                 "stderr_shifted": est.stderr_shifted,
                 "log_shift": est.log_shift,
                 "n_samples": est.n_samples,
+                "ess": est.ess,
             },
         )
     )

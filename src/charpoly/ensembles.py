@@ -7,8 +7,18 @@ threads evaluate the chunks.
 
 Truncated-CUE samples QR only the first N of the M drawn Gaussian columns
 (Mezzadri, arXiv:math-ph/0609050), O(M N^2) not O(M^3).  The full M x M
-Gaussian is still drawn so every fixed-seed estimate stays the full-QR one;
-drawing only M x N would save ~0.4 s per benchmark Monte Carlo pass.
+Gaussian is still drawn, one block at a time, so every fixed-seed estimate
+stays the full-QR one; drawing only M x N would save ~0.4 s per benchmark
+Monte Carlo pass.
+
+Memory.  A chunk of count samples, each drawn as a rows x rows Gaussian
+(rows = N for Ginibre, M for the truncated CUE) of which the first n columns
+are kept, holds 8 * count * rows * n bytes of kept real parts plus one block
+of at most _BLOCK drawn entries (1 MB complex), per worker.  The real parts
+cannot be streamed: a chunk's stream holds every real part before every
+imaginary part, and the ziggurat sampler takes a variable number of words
+per normal, so the imaginary parts' start is known only once every real part
+has been drawn.
 """
 
 import math
@@ -33,6 +43,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+_BLOCK = 1 << 16  # drawn Gaussian entries formed at a time: 1 MB complex
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,16 @@ class MCEstimate:
     def value(self) -> float:
         return math.exp(self.log_shift) * self.mean_shifted
 
+    @property
+    def ess(self) -> float:
+        """Effective sample size (sum w)^2 / sum w^2 of the shifted weights
+        w, from the stored mean and stderr: n / (1 + (n - 1) (stderr/mean)^2).
+        It is n for equal weights and near 1 when one weight dominates."""
+        if self.mean_shifted == 0.0:
+            return 0.0
+        n = self.n_samples
+        return n / (1.0 + (n - 1) * (self.stderr_shifted / self.mean_shifted) ** 2)
+
     def within(self, log_ref: float, n_sigma: float = 3.0) -> bool:
         """Is exp(log_ref) within n_sigma standard errors of the estimate?"""
         return abs(self.mean_shifted - math.exp(log_ref - self.log_shift)) <= (
@@ -110,15 +131,6 @@ class MCEstimate:
 
 def _rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk]))
-
-
-def _sample_ginibre_batch(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count n x n complex Ginibre matrices, E|entry|^2 = 1/n."""
-    scale = 1.0 / math.sqrt(2.0 * n)
-    a = np.empty((count, n, n), dtype=np.complex128)
-    for part in (a.real, a.imag):
-        np.multiply(rng.standard_normal((count, n, n)), scale, out=part)
-    return a
 
 
 def sample_haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,23 +144,57 @@ def _sample_haar_batch(
     m: int, count: int, rng: np.random.Generator, n: int | None = None
 ) -> np.ndarray:
     """First n (default m) columns of count Haar U(m) samples.  The whole
-    (count, m, m) Gaussian is drawn, so the stream does not depend on n;
-    column i of the QR depends only on Gaussian columns 0..i."""
+    (count, m, m) Gaussian is drawn, so the stream does not depend on n."""
     a = np.empty((count, m, n or m), dtype=np.complex128)
     for part in (a.real, a.imag):
         part[...] = rng.standard_normal((count, m, m))[:, :, :n]
+    return _haar_columns(a)
+
+
+def _haar_columns(a: np.ndarray) -> np.ndarray:
+    """Q of the thin QR of each complex Gaussian in a, each column multiplied
+    by the phase of the matching diagonal entry of R.  Column i depends only
+    on Gaussian columns 0..i, so these are the first columns of a Haar
+    unitary."""
     q, r = np.linalg.qr(a)
     d = np.einsum("...ii->...i", r)
     q *= (d / np.abs(d))[:, None, :]
     return q
 
 
-def _sample_batch(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_blocks(spec: EnsembleSpec, count: int, rng: np.random.Generator):
+    """Yield (i, a): samples i .. i + len(a) - 1 of count, in stream order,
+    in blocks of at most _BLOCK drawn entries (or one sample, if larger).
+    Each a is overwritten by the next block: change it, do not keep it.
+
+    Every sample is a rows x rows standard Gaussian draw of which the first
+    spec.n columns are kept; the stream is the one of a (count, rows, rows)
+    draw of all real parts followed by one of all imaginary parts.  Ginibre
+    scales both parts by 1/sqrt(2N) (E|entry|^2 = 1/N); a truncated-CUE
+    sample is the top N x N corner of _haar_columns."""
     if isinstance(spec, Ginibre):
-        return _sample_ginibre_batch(spec.n, count, rng)
-    if isinstance(spec, TruncatedCUE):
-        return _sample_haar_batch(spec.m, count, rng, spec.n)[:, : spec.n]
-    raise TypeError(f"unknown ensemble spec {spec!r}")
+        rows, scale = spec.n, 1.0 / math.sqrt(2.0 * spec.n)
+    elif isinstance(spec, TruncatedCUE):
+        rows, scale = spec.m, 1.0  # QR needs no scale; 1.0 keeps the draw exact
+    else:
+        raise TypeError(f"unknown ensemble spec {spec!r}")
+    n = spec.n
+    size = max(1, min(count, _BLOCK // (rows * rows)))
+    starts = range(0, count, size)
+    draw = np.empty((size, rows, rows))
+    real = np.empty((count, rows, n))
+    for i in starts:
+        d = draw[: min(size, count - i)]
+        rng.standard_normal(out=d)
+        np.multiply(d[:, :, :n], scale, out=real[i : i + len(d)])
+    block = np.empty((size, rows, n), dtype=np.complex128)
+    for i in starts:
+        d = draw[: min(size, count - i)]
+        rng.standard_normal(out=d)
+        a = block[: len(d)]
+        a.real = real[i : i + len(d)]
+        np.multiply(d[:, :, :n], scale, out=a.imag)
+        yield i, (_haar_columns(a)[:, :n] if rows > n else a)
 
 
 def worker_count() -> int:
@@ -191,6 +237,14 @@ def mc_moment(
     Deterministic for a given (seed, n_samples, spec, charges): samples are
     drawn in fixed-size chunks with per-chunk Philox streams and reduced in
     chunk order, independent of the worker count.
+
+    Memory per worker: one chunk's kept real parts, 8 * count * rows * N
+    bytes (count <= _CHUNK, rows = N for Ginibre and M for the truncated
+    CUE), plus one block of at most _BLOCK drawn entries (1 MB complex).
+    The real parts are held whole because the stream puts every real part
+    before every imaginary part, and the ziggurat sampler's words per normal
+    vary, so where the imaginary parts start is known only after the last
+    real part is drawn.
     """
     if n_samples < 2:
         raise ValueError("mc_moment requires n_samples >= 2")
@@ -201,14 +255,14 @@ def mc_moment(
 
     def run_chunk(c: int) -> tuple[float, float, int]:
         cnt = min(_CHUNK, n_samples - c * _CHUNK)
-        # the samples are this chunk's own: shift their diagonal in place
-        a = _sample_batch(spec, cnt, _rng(seed, c))
-        diag = np.einsum("...ii->...i", a)
-        d0 = diag.copy()
         s = np.zeros(cnt)
-        for z, g in zip(charges.points, charges.exponents):
-            np.subtract(d0, z, out=diag)
-            s += g * logdet_batch(a)
+        for i, a in _sample_blocks(spec, cnt, _rng(seed, c)):
+            # the block is this call's own: shift its diagonal in place
+            diag = np.einsum("...ii->...i", a)
+            d0 = diag.copy()
+            for z, g in zip(charges.points, charges.exponents):
+                np.subtract(d0, z, out=diag)
+                s[i : i + len(a)] += g * logdet_batch(a)
         vals = np.exp(s - log_shift)
         return float(vals.sum()), float((vals * vals).sum()), cnt
 

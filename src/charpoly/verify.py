@@ -12,11 +12,14 @@ records the worst observed deviation against its tolerance.
 import cmath
 import json
 import math
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import asymptotics as asym
 from . import dualities as dual
@@ -37,6 +40,38 @@ class CheckResult:
     detail: str = ""
 
 
+def _git_sha() -> str:
+    """The source checkout's commit, read from .git without running git;
+    "unknown" for an installed package or an unreadable checkout."""
+    git = Path(__file__).resolve().parents[2] / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[len("ref: "):]
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
+def _provenance() -> dict:
+    from . import __version__  # set by the package after it imports this module
+
+    return {
+        "charpoly": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+        "threads": worker_count(),
+        "git_sha": _git_sha(),
+    }
+
+
 @dataclass
 class RunReport:
     command: str
@@ -45,6 +80,7 @@ class RunReport:
     checks: list = field(default_factory=list)
     seed: int = 0
     wall_time: float = 0.0
+    provenance: dict = field(default_factory=_provenance)
 
     @property
     def passed(self) -> bool:

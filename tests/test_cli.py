@@ -3,10 +3,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+import scipy
 
+import charpoly
 from charpoly.cli import main
 from charpoly.dualities import ginibre_moment_toeplitz
+from charpoly.ensembles import worker_count
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +51,19 @@ def test_mc_reproducible_and_within_bars(capsys):
     assert d1 == d2  # bit-identical stochastic outputs for a fixed seed
     mc = next(r for r in d1["outputs"] if r["route"] == "mc")
     assert mc["n_samples"] == 5000
+
+
+def test_report_provenance(capsys):
+    code, out = run_cli(capsys, "exact", "--n", "3", "--k", "1", "--z", "0.5")
+    assert code == 0
+    prov = json.loads(out)["provenance"]
+    assert set(prov) == {"charpoly", "numpy", "scipy", "python", "threads", "git_sha"}
+    assert (prov["charpoly"], prov["numpy"], prov["scipy"]) == (
+        charpoly.__version__, np.__version__, scipy.__version__,
+    )
+    assert prov["threads"] == worker_count()
+    sha = prov["git_sha"]
+    assert sha == "unknown" or (len(sha) == 40 and int(sha, 16) >= 0)
 
 
 def test_gap_with_oracle(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,21 @@ from charpoly.ensembles import (
     TruncatedCUE,
     _CHUNK,
     _rng,
-    _sample_batch,
+    _sample_blocks,
     _sample_haar_batch,
     mc_moment,
     sample_haar_unitary,
 )
 from charpoly.linalg import logdet_batch
+
+
+def _sample_batch(spec, count, rng):
+    """The count samples of one chunk, gathered from the blocks of the
+    sampler under test."""
+    out = np.empty((count, spec.n, spec.n), dtype=np.complex128)
+    for i, a in _sample_blocks(spec, count, rng):
+        out[i : i + len(a)] = a
+    return out
 
 
 def test_charge_configuration_validation():
@@ -104,12 +114,25 @@ def test_haar_batch_columns_orthonormal(m, n):
     assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
 
+def _one_shot_chunk(spec, count, rng):
+    """A chunk drawn whole: every real part in one (count, rows, rows) draw,
+    then every imaginary part in a second one."""
+    if isinstance(spec, TruncatedCUE):
+        return _full_qr_truncation(spec.m, spec.n, count, rng)
+    scale = 1.0 / math.sqrt(2.0 * spec.n)
+    a = np.empty((count, spec.n, spec.n), dtype=np.complex128)
+    for part in (a.real, a.imag):
+        np.multiply(rng.standard_normal(part.shape), scale, out=part)
+    return a
+
+
 def _mc_shifted_reference(spec, charges, n_samples, seed):
-    """mc_moment's mean and stderr, with each charge applied as a - z*eye."""
+    """mc_moment's mean and stderr from whole-chunk draws, with each charge
+    applied as a - z*eye."""
     eye = np.eye(spec.n)
     total = total_sq = 0.0
     for c in range((n_samples + _CHUNK - 1) // _CHUNK):
-        a = _sample_batch(spec, min(_CHUNK, n_samples - c * _CHUNK), _rng(seed, c))
+        a = _one_shot_chunk(spec, min(_CHUNK, n_samples - c * _CHUNK), _rng(seed, c))
         s = np.zeros(a.shape[0])
         for z, g in zip(charges.points, charges.exponents):
             s += g * logdet_batch(a - z * eye)
@@ -126,12 +149,41 @@ def _mc_shifted_reference(spec, charges, n_samples, seed):
     [
         (Ginibre(8), ChargeConfiguration((0.3, -0.5j, 1.1 + 0.2j, -0.7), (2.0, 1.0, -0.5, 3.0))),
         (TruncatedCUE(8, 6), ChargeConfiguration((0.4j, -0.6 + 0.1j), (2.0, 1.5))),
+        (Ginibre(64), ChargeConfiguration((0.5 + 0.2j, -0.3), (2.0, 1.0))),
+        (TruncatedCUE(64, 8), ChargeConfiguration((0.4j, -0.6 + 0.1j), (2.0, 1.5))),
     ],
 )
 def test_mc_multi_charge_matches_shifted_copies(spec, charges):
-    est = mc_moment(spec, charges, 5000, seed=21, log_shift=0.0)
-    ref = _mc_shifted_reference(spec, charges, 5000, 21)
+    # Ginibre(64): a chunk of 256 blocks, then a chunk of one short block;
+    # tCUE(64, 8): 37 blocks and a short one (its full-QR reference is large)
+    n_samples = {Ginibre(64): _CHUNK + 4, TruncatedCUE(64, 8): 600}.get(spec, 5000)
+    est = mc_moment(spec, charges, n_samples, seed=21, log_shift=0.0)
+    ref = _mc_shifted_reference(spec, charges, n_samples, 21)
     assert (est.mean_shifted, est.stderr_shifted) == ref
+
+
+def test_mc_chunk_memory_is_its_real_parts_plus_a_block():
+    # a whole complex chunk is 4096 * 32^2 * 16 bytes; its real parts are half
+    n, count = 32, 4096
+    cc = ChargeConfiguration((0.5,), (2.0,))
+    tracemalloc.start()
+    try:
+        mc_moment(Ginibre(n), cc, count, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * count * n * n * 16
+
+
+def test_mc_ess_is_the_weights_effective_sample_size():
+    spec, n_samples = Ginibre(4), 3000
+    cc = ChargeConfiguration((0.5, -0.2j), (2.0, 1.0))
+    est = mc_moment(spec, cc, n_samples, seed=11, log_shift=0.0)
+    a = _one_shot_chunk(spec, n_samples, _rng(11, 0))
+    w = np.exp(sum(g * logdet_batch(a - z * np.eye(4)) for z, g in zip(cc.points, cc.exponents)))
+    assert est.ess == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-9)
+    assert 1.0 <= est.ess <= n_samples
+    assert mc_moment(spec, ChargeConfiguration((), ()), n_samples, seed=11).ess == n_samples
 
 
 def test_mc_empty_charges_is_exactly_one():
