@@ -7,7 +7,6 @@ Usage:
 """
 
 import argparse
-import math
 import sys
 import time
 
@@ -33,8 +32,7 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 log_shift=ginibre_edge(8, float(k), z),
             )
-            dev = abs(est.mean_shifted - math.exp(exact - est.log_shift))
-            nsig = dev / max(est.stderr_shifted, 1e-300)
+            nsig = est.sigmas(exact)
             ok = nsig <= 3.0
             bad += not ok
             print(
@@ -49,7 +47,7 @@ def main(argv=None) -> int:
             TruncatedCUE(m, n), ChargeConfiguration((z,), (2.0 * k,)),
             args.samples, seed=args.seed,
         )
-        nsig = abs(est.mean_shifted - math.exp(exact)) / max(est.stderr_shifted, 1e-300)
+        nsig = est.sigmas(exact)
         ok = nsig <= 3.0
         bad += not ok
         print(

@@ -89,12 +89,12 @@ def cmd_mc(args) -> RunReport:
     gamma = args.gamma if args.gamma is not None else 2.0 * args.k
     charges = ChargeConfiguration((z,), (gamma,))
     if args.ensemble == "ginibre":
-        spec, exact = Ginibre(args.n), dual.ginibre_moment_toeplitz(args.n, gamma, z)
+        spec, ref = Ginibre(args.n), dual.ginibre_moment_toeplitz(args.n, gamma, z)
     elif args.m is None:
         raise ValueError("--m is required for the truncated CUE")
     else:
         spec = TruncatedCUE(args.m, args.n)
-        exact = dual.tcue_moment_toeplitz(args.m, args.n, gamma, z)
+        ref = dual.tcue_moment_toeplitz(args.m, args.n, gamma, z)
     est = mc_moment(spec, charges, args.samples, args.seed)
     rep.outputs.append(
         _record(
@@ -110,11 +110,8 @@ def cmd_mc(args) -> RunReport:
             },
         )
     )
-    rep.outputs.append(_record("moment", "exact", exact))
-    dev = abs(est.mean_shifted - math.exp(exact - est.log_shift))
-    rep.checks.append(asdict(
-        _result("mc_within_3_stderr", dev / max(est.stderr_shifted, 1e-300), 3.0)
-    ))
+    rep.outputs.append(_record("moment", "gram", ref))
+    rep.checks.append(asdict(_result("mc_within_3_stderr", est.sigmas(ref), 3.0)))
     return rep
 
 
@@ -139,8 +136,6 @@ def cmd_gap(args) -> RunReport:
                     {"value": tail})
         )
     if args.oracle:
-        if args.k > 3:
-            raise SystemExit("--oracle supports k <= 3")
         o = gapmod.gap_oracle(ens, args.x)
         rep.outputs.append(_record("gap_cdf", "oracle", math.log(o) if o > 0 else None,
                                    {"value": o}))
@@ -196,31 +191,29 @@ def cmd_asym(args) -> RunReport:
     th = args.expansion
     if th == "interior":
         a = asym.bulk_interior(args.n, args.gamma, z)
-        ex = dual.ginibre_moment_toeplitz(args.n, args.gamma, z)
+        route, ref = "gram", dual.ginibre_moment_toeplitz(args.n, args.gamma, z)
     elif th in ("edge", "exterior"):
         a = (asym.ginibre_edge if th == "edge" else asym.ginibre_exterior)(args.n, args.k, z)
-        ex = dual.ginibre_moment_toeplitz(args.n, 2.0 * args.k, z)
+        route, ref = "gram", dual.ginibre_moment_toeplitz(args.n, 2.0 * args.k, z)
     elif th == "two-charge":
         a = asym.bulk_two_charge(args.n, args.k, int(args.k2), z, args.u1, args.u2)
         rn = math.sqrt(args.n)
-        ex = dual.correlator_finiteN(
+        route, ref = "correlator", dual.correlator_finiteN(
             dual.GinibreWeight(args.n),
             ChargeConfiguration(
                 (z + args.u1 / rn, z + args.u2 / rn), (2.0 * args.k, 2.0 * args.k2)
             ),
         )
-    elif th == "tcue-edge":
+    else:  # tcue-edge; argparse choices admit nothing else
         a = asym.tcue_edge(args.n, args.kappa, args.k and int(args.k) or 1, args.u1)
         zz = 1.0 - args.u1 / args.n
-        ex = dual.tcue_moment_exact(
+        route, ref = "exact", dual.tcue_moment_exact(
             args.n + int(args.kappa), args.n, int(args.k or 1), zz, zz
         )
-    else:
-        raise SystemExit(f"unknown expansion {th}")
     rep.outputs.append(_record("moment", "asym", a))
-    rep.outputs.append(_record("moment", "exact", ex))
+    rep.outputs.append(_record("moment", route, ref))
     rep.outputs.append(
-        _record("ratio", "exact/asym", ex - a, {"ratio": math.exp(ex - a)})
+        _record("ratio", f"{route}/asym", ref - a, {"ratio": math.exp(ref - a)})
     )
     return rep
 

@@ -281,9 +281,11 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex, tol: float = 1e-7) -> fl
     """ln E|det(G_N - z)|^gamma through the sigma-Painleve-V representation
     ln R(0) + N|z|^2 gamma/2 + int_0^{N|z|^2} sigma(t)/t dt.
 
-    Integer gamma/2 seeds the solve from the exact smallest-eigenvalue tail;
-    non-integer gamma seeds it by finite differences on the Gram route at
-    a reference point (the transport to the target is pure ODE work).
+    The solve is seeded by ``sigma_data`` at t_ref = max(0.75, N|z|^2/2)
+    with step 4e-3 max(1, t_ref).  Integer k = gamma/2 differences the exact
+    smallest-eigenvalue tail ln P(lambda_min > t) of LUE(k, N); other gamma
+    difference the Gram route, ln R(sqrt(t/N)) - ln R(0) - gamma t/2.  The
+    transport to the target is pure ODE work.
     """
     if gamma <= -2:
         raise ValueError("requires gamma > -2")
@@ -297,16 +299,12 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex, tol: float = 1e-7) -> fl
     half_k = 0.5 * gamma
     t_ref = max(0.75, 0.5 * x)
     if abs(half_k - round(half_k)) < 1e-12 and round(half_k) >= 1:
-        init = _painleve.init_from_gap(fam, t_ref, mode="smallest_tail")
+        def logp(t):
+            return _gap.log_lue_tail(int(round(half_k)), float(n), t)
     else:
-        def psi(t):  # the Gram moment over its z = 0 value and e^{gamma t/2}
+        def logp(t):  # the Gram moment over its z = 0 value and e^{gamma t/2}
             return _log_gram_det(GinibreWeight(n), gamma, (t / n) ** 0.5) - base + half_k * (x - t)
-
-        h = 4e-3 * max(1.0, t_ref)
-        p0, p1, p2, p3 = _painleve.log_derivatives(psi, t_ref, h)
-        init = _painleve.SigmaInit(
-            t_ref, t_ref * p1, p1 + t_ref * p2, 2 * p2 + t_ref * p3, log_f0=p0
-        )
+    init = _painleve.sigma_data(fam, logp, t_ref, 4e-3 * max(1.0, t_ref))
     lo = min(x, t_ref)
     hi = max(x, t_ref)
     pad = 1e-3 * lo

@@ -122,11 +122,14 @@ class MCEstimate:
         n = self.n_samples
         return n / (1.0 + (n - 1) * (self.stderr_shifted / self.mean_shifted) ** 2)
 
+    def sigmas(self, log_ref: float) -> float:
+        """Distance from the estimate to exp(log_ref) in standard errors."""
+        dev = abs(self.mean_shifted - math.exp(log_ref - self.log_shift))
+        return dev / max(self.stderr_shifted, 1e-300)
+
     def within(self, log_ref: float, n_sigma: float = 3.0) -> bool:
         """Is exp(log_ref) within n_sigma standard errors of the estimate?"""
-        return abs(self.mean_shifted - math.exp(log_ref - self.log_shift)) <= (
-            n_sigma * self.stderr_shifted
-        )
+        return self.sigmas(log_ref) <= n_sigma
 
 
 def _rng(seed: int, chunk: int) -> np.random.Generator:

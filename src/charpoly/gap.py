@@ -3,8 +3,10 @@
 The joint eigenvalue densities are w(t)^k Delta(t)^2 / C; restricting all
 eigenvalues to a half line (or interval) and applying the Andreief identity
 turns the k-fold integral into a k x k determinant of one-dimensional
-incomplete moments.  Everything is computed in log space with per-column
-rescaling so that large Laguerre parameters (alpha up to ~10^3) stay finite.
+incomplete moments.  ``_log_andreief`` builds every LUE/JUE Hankel from its
+2k - 1 log-moments with per-column rescaling, so that large Laguerre
+parameters (alpha up to ~10^3) stay finite; the GUE Hankel stays linear
+because its odd moments change sign.
 
 ``gap_oracle`` is the pre-reduction k-fold adaptive quadrature, kept fully
 independent of the determinant route.
@@ -21,7 +23,6 @@ from .specfun import (
     erfc,
     log_reg_inc_beta,
     log_reg_upper_gamma,
-    reg_inc_beta,
     reg_lower_gamma,
 )
 
@@ -109,23 +110,26 @@ def log_norm_constant(e: GapEnsemble) -> float:
     raise TypeError(f"unknown ensemble {e!r}")
 
 
-def _logdet_posdetish(logm: np.ndarray) -> float:
-    """ln det of a matrix given entrywise as logs of positive numbers.
+def _log_andreief(e: GapEnsemble, log_moment) -> float:
+    """ln[k! det(m_{i+j})_{i,j<k} / C] for the Hankel of positive moments
+    m_n = exp(log_moment(n)), n = 0..2k-2, each computed once.
 
     Columns are rescaled by their largest entry before the determinant so
     moment matrices with huge dynamic range keep relative accuracy; the
     scales are restored in log space.  Raises if the determinant comes out
     non-positive (the gap matrices are totally positive in exact arithmetic).
     """
+    k = e.k
+    lm = np.array([log_moment(n) for n in range(2 * k - 1)])
+    logm = lm[np.add.outer(np.arange(k), np.arange(k))]
     scale = logm.max(axis=0)
-    m = np.exp(logm - scale[None, :])
-    sign, logdet = np.linalg.slogdet(m)
+    sign, logdet = np.linalg.slogdet(np.exp(logm - scale[None, :]))
     if sign <= 0:
         raise FloatingPointError(
             "incomplete-moment determinant lost positivity; the matrix is "
             "too ill-conditioned at this order"
         )
-    return float(logdet + scale.sum())
+    return float(_sp.gammaln(k + 1) + (logdet + scale.sum()) - log_norm_constant(e))
 
 
 def _gue_incomplete_moments(k: int, x: float) -> np.ndarray:
@@ -162,40 +166,15 @@ def log_gap_cdf(e: GapEnsemble, x: float) -> float:
     if isinstance(e, LUE):
         if x <= 0.0:
             return -math.inf
-        k, a = e.k, e.alpha
-        logm = np.array(
-            [
-                [
-                    _log_lower_gamma_moment(a + i + j + 1, x)
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
-        )
-        return float(
-            _sp.gammaln(k + 1)
-            + _logdet_posdetish(logm)
-            - log_norm_constant(e)
-        )
+        return _log_andreief(e, lambda n: _log_lower_gamma_moment(e.alpha + n + 1, x))
     if isinstance(e, JUE):
         if x <= 0.0:
             return -math.inf
         if x >= 1.0:
             return 0.0
-        k, a, b = e.k, e.alpha, e.beta
-        logm = np.array(
-            [
-                [
-                    _log_beta_moment(a + i + j + 1, b + 1, x)
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
-        )
-        return float(
-            _sp.gammaln(k + 1)
-            + _logdet_posdetish(logm)
-            - log_norm_constant(e)
+        a, b = e.alpha, e.beta + 1
+        return _log_andreief(
+            e, lambda n: _sp.betaln(a + n + 1, b) + log_reg_inc_beta(a + n + 1, b, x)
         )
     raise TypeError(f"unknown ensemble {e!r}")
 
@@ -215,59 +194,26 @@ def _log_lower_gamma_moment(a: float, x: float) -> float:
     return a * math.log(x) - x + math.log(s + term)
 
 
-def _log_beta_moment(a: float, b: float, x: float) -> float:
-    """ln int_0^x t^{a-1} (1-t)^{b-1} dt = ln[B(a,b) I_x(a,b)]."""
-    return float(_sp.betaln(a, b) + log_reg_inc_beta(a, b, x))
-
-
-def gap_cdf(e: GapEnsemble, x: float, with_flag: bool = False):
-    """P(lambda_max < x), clamped to [0, 1] within 1e-12 slack.
-
-    With ``with_flag`` the return is (value, clamped) where ``clamped`` marks
-    an argument outside the support closure.
-    """
+def gap_cdf(e: GapEnsemble, x: float) -> float:
+    """P(lambda_max < x), clamped to [0, 1] within 1e-12 slack."""
     lg = log_gap_cdf(e, x)
     if lg > 1e-12:
         raise FloatingPointError(f"gap_cdf exceeded 1 by {math.expm1(lg)}")
-    v = math.exp(min(lg, 0.0))
-    if with_flag:
-        clamped = _outside_support(e, x)
-        return v, clamped
-    return v
-
-
-def _outside_support(e: GapEnsemble, x: float) -> bool:
-    if isinstance(e, GUE):
-        return False
-    if isinstance(e, LUE):
-        return x < 0.0
-    return x < 0.0 or x > 1.0
+    return math.exp(min(lg, 0.0))
 
 
 def log_lue_tail(k: int, alpha: float, x: float) -> float:
     """ln P(lambda_min > x) for the size-k LUE with parameter alpha.
 
     Andreief determinant of the shifted upper moments
-    int_x^inf t^{alpha+i+j} e^{-t} dt = Gamma(a) Q(a, x).
+    int_x^inf t^{alpha+n} e^{-t} dt = Gamma(a) Q(a, x), a = alpha + n + 1.
     """
-    if k < 1:
-        raise ValueError("lue_tail requires k >= 1")
-    if alpha <= -1:
-        raise ValueError("lue_tail requires alpha > -1")
+    e = LUE(k, alpha)
     if x <= 0.0:
         return 0.0
-    logm = np.array(
-        [
-            [
-                _sp.gammaln(alpha + i + j + 1)
-                + log_reg_upper_gamma(alpha + i + j + 1, x)
-                for j in range(k)
-            ]
-            for i in range(k)
-        ]
+    return _log_andreief(
+        e, lambda n: _sp.gammaln(alpha + n + 1) + log_reg_upper_gamma(alpha + n + 1, x)
     )
-    c = log_norm_constant(LUE(k, alpha))
-    return float(_sp.gammaln(k + 1) + _logdet_posdetish(logm) - c)
 
 
 def lue_tail(k: int, alpha: float, x: float) -> float:

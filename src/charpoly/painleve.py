@@ -51,6 +51,7 @@ __all__ = [
     "sigma_ppp",
     "transport_integrand",
     "log_derivatives",
+    "sigma_data",
     "init_from_gap",
     "solve_span",
     "F_from_sigma",
@@ -270,50 +271,31 @@ def _require_int(k: float, what: str) -> int:
     return int(round(k))
 
 
-def init_from_gap(
-    f: SigmaFamily,
-    t0: float,
-    mode: str = "largest",
-    h: Optional[float] = None,
-) -> SigmaInit:
-    """Initial data (t0, sigma, sigma') from finite differences on the log of
-    the matching gap probability, with a sigma'' hint for branch selection.
-
-    ``mode``: "largest" uses the largest-eigenvalue CDF; "smallest_tail"
-    (PV only) uses P(lambda_min > t).
+def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
+               h: float) -> SigmaInit:
+    """Initial data (t0, sigma, sigma', sigma'' hint) from Richardson
+    differences of step h on logp = ln F, the probability the family
+    transports (``transport_integrand`` is d ln F/dt):
+    PIV sigma = (ln F)';  PV sigma = t (ln F)';
+    PVI sigma = t(1-t) (ln F)' + b1 b2 t - (b1 b2 + b3 b4)/2.
+    The sigma'' hint selects the root branch.  Refuses t0 outside the
+    family's domain and an F that is identically 1 at t0 (ValueError), and
+    an F that underflows there (FloatingPointError).
     """
+    if isinstance(f, PV) and t0 <= 0:
+        raise ValueError("PV sigma data needs t0 > 0")
+    if isinstance(f, PVI) and not 0.0 < t0 < 1.0:
+        raise ValueError("PVI sigma data needs t0 in (0, 1)")
+    L0, L1, L2, L3 = log_derivatives(logp, t0, h)
+    if L0 < math.log(1e-300):
+        raise FloatingPointError(f"probability underflows at t0={t0} (log P = {L0:.1f})")
+    if L0 == 0.0:
+        raise ValueError(f"probability is identically 1 at t0={t0}; no sigma data there")
     if isinstance(f, PIV):
-        k = _require_int(f.k, "PIV gap initialization")
-        logp = lambda x: _gap.log_gap_cdf(_gap.GUE(k), x)
-        if h is None:
-            h = 4e-3 * max(1.0, abs(t0))
-        L0, L1, L2, L3 = _validated_logp_derivs(logp, t0, h)
         return SigmaInit(t0, L1, L2, L3, log_f0=L0)
     if isinstance(f, PV):
-        k = _require_int(f.k, "PV gap initialization")
-        if t0 <= 0:
-            raise ValueError("PV gap initialization needs t0 > 0")
-        if mode == "largest":
-            logp = lambda x: _gap.log_gap_cdf(_gap.LUE(k, f.alpha), x)
-        elif mode == "smallest_tail":
-            logp = lambda x: _gap.log_lue_tail(k, f.alpha, x)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        if h is None:
-            h = min(4e-3 * max(1.0, abs(t0)), t0 / 4.5)
-        L0, L1, L2, L3 = _validated_logp_derivs(logp, t0, h)
-        return SigmaInit(
-            t0, t0 * L1, L1 + t0 * L2, 2 * L2 + t0 * L3, log_f0=L0
-        )
+        return SigmaInit(t0, t0 * L1, L1 + t0 * L2, 2 * L2 + t0 * L3, log_f0=L0)
     if isinstance(f, PVI):
-        kr, alpha, beta = jue_from_pvi(f)
-        k = _require_int(kr, "PVI gap initialization")
-        if not 0.0 < t0 < 1.0:
-            raise ValueError("PVI gap initialization needs t0 in (0, 1)")
-        logp = lambda x: _gap.log_gap_cdf(_gap.JUE(k, alpha, beta), x)
-        if h is None:
-            h = 4e-3 * min(t0, 1.0 - t0)
-        L0, L1, L2, L3 = _validated_logp_derivs(logp, t0, h)
         b1, b2, b3, b4 = f.b
         P = t0 * (1.0 - t0)
         Pp = 1.0 - 2.0 * t0
@@ -324,17 +306,27 @@ def init_from_gap(
     raise TypeError(f"unknown family {f!r}")
 
 
-def _validated_logp_derivs(logp, t0, h):
-    L0 = logp(t0)
-    if L0 < math.log(1e-300):
-        raise FloatingPointError(
-            f"gap probability underflows at t0={t0} (log P = {L0:.1f})"
-        )
-    if L0 == 0.0:
-        raise ValueError(
-            f"gap probability is identically 1 at t0={t0}; no sigma data there"
-        )
-    return log_derivatives(logp, t0, h)
+def init_from_gap(f: SigmaFamily, t0: float, h: Optional[float] = None) -> SigmaInit:
+    """``sigma_data`` at t0 from the largest-eigenvalue CDF of the matching
+    gap ensemble, whose size must be a positive integer: GUE(k) for PIV,
+    LUE(k, alpha) for PV and the JUE of ``jue_from_pvi`` for PVI.  The
+    default step h is 4e-3 max(1, |t0|) for PIV, the same capped at t0/4.5
+    for PV, and 4e-3 min(t0, 1 - t0) for PVI.
+    """
+    if isinstance(f, PIV):
+        ens = _gap.GUE(_require_int(f.k, "PIV gap initialization"))
+        default_h = 4e-3 * max(1.0, abs(t0))
+    elif isinstance(f, PV):
+        ens = _gap.LUE(_require_int(f.k, "PV gap initialization"), f.alpha)
+        default_h = min(4e-3 * max(1.0, abs(t0)), t0 / 4.5)
+    elif isinstance(f, PVI):
+        kr, alpha, beta = jue_from_pvi(f)
+        ens = _gap.JUE(_require_int(kr, "PVI gap initialization"), alpha, beta)
+        default_h = 4e-3 * min(t0, 1.0 - t0)
+    else:
+        raise TypeError(f"unknown family {f!r}")
+    logp = lambda x: _gap.log_gap_cdf(ens, x)
+    return sigma_data(f, logp, t0, default_h if h is None else h)
 
 
 # ---------------------------------------------------------------------------
@@ -792,19 +784,15 @@ def p5_to_p4_residual(gamma: float, n: int, s: float) -> float:
     k = _require_int(gamma / 2.0, "p5_to_p4_residual")
     if n < 16:
         raise ValueError("requires N >= 16")
-    x = n - math.sqrt(n) * s
-    if x <= 0:
-        raise ValueError("scaled point left the LUE support")
-    h = 0.05 * math.sqrt(n)
-    L0, L1, L2, L3 = log_derivatives(
-        lambda t: _gap.log_lue_tail(k, float(n), t), x, h
+    init = sigma_data(
+        PV(gamma / 2.0, float(n)),
+        lambda t: _gap.log_lue_tail(k, float(n), t),
+        n - math.sqrt(n) * s,
+        0.05 * math.sqrt(n),
     )
-    sig = x * L1
-    sigp = L1 + x * L2
-    sigpp = 2 * L2 + x * L3
-    v = -sig / math.sqrt(n)
-    vp = sigp
-    vpp = -math.sqrt(n) * sigpp
+    v = -init.sigma0 / math.sqrt(n)
+    vp = init.sigma0_prime
+    vpp = -math.sqrt(n) * init.sigma0_pp_hint
     return residual(PIV(gamma / 2.0), s, v, vp, vpp)
 
 

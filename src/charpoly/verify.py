@@ -131,12 +131,10 @@ def check_mc_vs_exact_ginibre(level: str, seed: int):
             log_shift=asym.ginibre_edge(n, float(k), z),
         )
         dt = time.time() - t0
-        dev = abs(est.mean_shifted - math.exp(exact - est.log_shift))
-        sig = max(est.stderr_shifted, 1e-300)
         out.append(
             _result(
                 f"c01_mc_ginibre_k{k}_z{z}",
-                dev / sig,
+                est.sigmas(exact),
                 3.0,
                 f"{samples} samples, {dt:.1f}s",
             )
@@ -192,15 +190,15 @@ def check_painleve_iv(level: str, seed: int):
 def check_painleve_v(level: str, seed: int):
     """PV residual of sigma data extracted from lue_tail(1, 4)."""
     ts = np.linspace(0.2, 8.0, 25 if level == "full" else 9)
+    fam = pain.PV(1.0, 4.0)
     worst = 0.0
-    for t in ts:
-        h = 0.02 * max(1.0, t)
-        _, l1, l2, l3 = pain.log_derivatives(
-            lambda u: gapmod.log_lue_tail(1, 4.0, u), float(t), h
+    for t in map(float, ts):
+        init = pain.sigma_data(
+            fam, lambda u: gapmod.log_lue_tail(1, 4.0, u), t, 0.02 * max(1.0, t)
         )
         worst = max(
             worst,
-            pain.residual(pain.PV(1.0, 4.0), float(t), t * l1, l1 + t * l2, 2 * l2 + t * l3),
+            pain.residual(fam, t, init.sigma0, init.sigma0_prime, init.sigma0_pp_hint),
         )
     return [_result("c05_pv_residual_from_tail", worst, 1e-5, "t in [0.2, 8]")]
 
@@ -260,13 +258,11 @@ def check_tcue(level: str, seed: int):
     est = mc_moment(
         TruncatedCUE(8, 6), ChargeConfiguration((0.5,), (2.0,)), samples, seed=seed
     )
-    dev = abs(est.mean_shifted - math.exp(exact)) / max(est.stderr_shifted, 1e-300)
-    out = [_result("c08_mc_tcue", dev, 3.0, f"{samples} samples")]
+    out = [_result("c08_mc_tcue", est.sigmas(exact), 3.0, f"{samples} samples")]
     est2 = mc_moment(
         TruncatedCUE(2, 1), ChargeConfiguration((0.0,), (2.0,)), samples, seed=seed + 1
     )
-    dev2 = abs(est2.mean_shifted - 0.5) / max(est2.stderr_shifted, 1e-300)
-    out.append(_result("c08_mc_c211", dev2, 3.0, "E|T_11|^2 = 1/2"))
+    out.append(_result("c08_mc_c211", est2.sigmas(math.log(0.5)), 3.0, "E|T_11|^2 = 1/2"))
     a = dual.tcue_moment_exact(6, 4, 2, 0.5, 0.5, check_factored=False)
     b = dual.tcue_moment_factored(6, 4, 2, 0.5)
     out.append(_result("c08_internal_routes", abs(a - b), 1e-10))

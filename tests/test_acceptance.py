@@ -54,7 +54,8 @@ def test_criterion_06_painleve_vi():
 
 
 def test_criterion_07_noninteger_routes():
-    """Toeplitz vs quadrature at gamma=1.3; Toeplitz vs PV transport."""
+    """Gram route vs quadrature at gamma=1.3, vs PV transport, and vs the
+    LUE duality."""
     _run("c07_noninteger")
 
 

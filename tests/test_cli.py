@@ -107,8 +107,8 @@ def test_asym_exterior_non_integer_k_compares_the_same_exponent(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    exact = next(r for r in doc["outputs"] if r["route"] == "exact")["log_value"]
-    assert exact == pytest.approx(ginibre_moment_toeplitz(40, 3.0, 1.5), abs=1e-12)
+    ref = next(r for r in doc["outputs"] if r["route"] == "gram")["log_value"]
+    assert ref == pytest.approx(ginibre_moment_toeplitz(40, 3.0, 1.5), abs=1e-12)
     ratio = next(r for r in doc["outputs"] if r["name"] == "ratio")["ratio"]
     assert ratio == pytest.approx(0.9523, abs=1e-3)
 
@@ -154,6 +154,32 @@ def test_order_flags_required_and_exclusive(capsys, command, order):
 def test_domain_error_exit_code(capsys):
     code = main(["exact", "--ensemble", "ginibre", "--n", "3", "--gamma", "-3.0"])
     assert code == 2
+
+
+def test_gap_oracle_beyond_k3_is_a_usage_error(capsys):
+    code = main(["gap", "--ensemble", "gue", "--k", "4", "--x", "0", "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, route",
+    [
+        (["mc", "--n", "3", "--k", "1", "--z", "0.5", "--samples", "500"], "gram"),
+        (["asym", "--expansion", "interior", "--n", "8", "--z", "0.3"], "gram"),
+        (["asym", "--expansion", "two-charge", "--n", "8", "--z", "0.3"], "correlator"),
+        (["asym", "--expansion", "tcue-edge", "--n", "8", "--u1", "1"], "exact"),
+    ],
+    ids=["mc", "asym-interior", "asym-two-charge", "asym-tcue-edge"],
+)
+def test_reference_records_name_their_route(capsys, argv, route):
+    code, out = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    moments = [r["route"] for r in json.loads(out)["outputs"] if r["name"] == "moment"]
+    assert route in moments and "exact" not in set(moments) - {route}
 
 
 @pytest.mark.parametrize(
@@ -220,9 +246,9 @@ def test_asym_two_charge_large_n_small_z_returns_value(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    exact = [r for r in doc["outputs"] if r["route"] == "exact"][0]["log_value"]
+    ref = [r for r in doc["outputs"] if r["route"] == "correlator"][0]["log_value"]
     # det{B_802(x_i, conj x_j)}/|Delta|^2 * prod h in 160-digit mpmath
-    assert exact == pytest.approx(-1562.5932628214266, abs=1e-9)
+    assert ref == pytest.approx(-1562.5932628214266, abs=1e-9)
     ratio = [r for r in doc["outputs"] if r["name"] == "ratio"][0]["ratio"]
     assert abs(ratio - 1.0) < 0.01
 

@@ -24,6 +24,7 @@ from charpoly.painleve import (
     piv_solution,
     pvi_from_jue,
     residual,
+    sigma_data,
     sigma_form_lhs,
     sigma_pp_roots,
     solve_span,
@@ -213,7 +214,8 @@ def test_pv_round_trip_largest(k, alpha):
 
 def test_pv_round_trip_smallest_tail():
     fam = PV(1.0, 1.0)
-    sol = solve_span(fam, init_from_gap(fam, 2.0, mode="smallest_tail"), 0.2, 10.0)
+    init = sigma_data(fam, lambda u: log_lue_tail(1, 1.0, u), 2.0, 8e-3)
+    sol = solve_span(fam, init, 0.2, 10.0)
     # analytic (1+x)e^{-x} from the k=1 Andreief reduction
     for x in (0.4, 2.0, 6.0):
         want = (1.0 + x) * math.exp(-x)
@@ -344,7 +346,7 @@ def test_p6_to_p5_limit_matches_lue_data():
 def test_init_from_gap_pv_alpha2_matches_analytic_derivative():
     # lue_tail(1, 2, x) = Q(3, x): sigma = x dlnQ/dx = -x^3 e^{-x}/(2 Q(3,x) Gamma(3))
     t0 = 0.5
-    init = init_from_gap(PV(1.0, 2.0), t0, mode="smallest_tail")
+    init = sigma_data(PV(1.0, 2.0), lambda u: log_lue_tail(1, 2.0, u), t0, 4e-3)
     q = lue_tail(1, 2.0, t0)
     rho = t0**2 * math.exp(-t0) / 2.0
     assert init.sigma0 == pytest.approx(-t0 * rho / q, rel=1e-9)
