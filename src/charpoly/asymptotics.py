@@ -32,7 +32,6 @@ __all__ = [
     "gue_largest_f",
     "ginibre_edge",
     "bulk_two_charge",
-    "noninteger_bulk",
     "edge_f_det",
     "edge_f_km",
     "edge_multi",
@@ -129,26 +128,6 @@ def bulk_two_charge(n, k1, k2, z, u1, u2) -> float:
         + 0.5 * (k1 + k2) * math.log(2.0 * math.pi)
         - log_barnes_g(1.0 + k1)
         - log_barnes_g(1.0 + k2)
-        + math.log(f)
-    )
-
-
-def noninteger_bulk(n: int, gamma: float, k2: int, u2: float) -> float:
-    """ln of the z = 0, u1 = 0 collision expansion with real first exponent:
-    valid under gamma >= k2, u2 > 0 (the induced-Ginibre route)."""
-    if gamma < k2:
-        raise ValueError("hypothesis gamma >= k2 violated")
-    if u2 <= 0:
-        raise ValueError("u2 must be positive")
-    f = _gap.gap_cdf(_gap.LUE(k2, float(gamma - k2)), u2 * u2)
-    return float(
-        u2 * u2 * k2
-        - (gamma + k2) * n
-        + 0.5 * (gamma * gamma + k2 * k2) * math.log(n)
-        - 2.0 * k2 * gamma * (math.log(u2) - 0.5 * math.log(n))
-        + 0.5 * (gamma + k2) * math.log(2.0 * math.pi)
-        - log_barnes_g(1.0 + k2)
-        - log_barnes_g(1.0 + gamma)
         + math.log(f)
     )
 

@@ -123,23 +123,24 @@ def _gap_ensemble(args):
     return gapmod.JUE(args.k, args.alpha, args.beta)
 
 
+def _probability_record(name, route, log_p):
+    """ln P as log_value (null only for P = 0), so an underflowing P keeps its log."""
+    return _record(name, route, log_p if log_p > -math.inf else None, {"value": math.exp(log_p)})
+
+
 def cmd_gap(args) -> RunReport:
     rep = RunReport("gap", vars_of(args), seed=args.seed)
     ens = _gap_ensemble(args)
-    cdf = gapmod.gap_cdf(ens, args.x)
-    rep.outputs.append(_record("gap_cdf", "exact", math.log(cdf) if cdf > 0 else None,
-                               {"value": cdf}))
+    log_cdf = gapmod.log_gap_cdf(ens, args.x)
+    rep.outputs.append(_probability_record("gap_cdf", "exact", log_cdf))
     if args.ensemble == "lue":
-        tail = gapmod.lue_tail(args.k, args.alpha, args.x)
-        rep.outputs.append(
-            _record("lue_tail", "exact", math.log(tail) if tail > 0 else None,
-                    {"value": tail})
-        )
+        rep.outputs.append(_probability_record(
+            "lue_tail", "exact", gapmod.log_lue_tail(args.k, args.alpha, args.x)))
     if args.oracle:
         o = gapmod.gap_oracle(ens, args.x)
         rep.outputs.append(_record("gap_cdf", "oracle", math.log(o) if o > 0 else None,
                                    {"value": o}))
-        rep.checks.append(asdict(_result("cdf_vs_oracle", abs(cdf - o), 1e-7)))
+        rep.checks.append(asdict(_result("cdf_vs_oracle", abs(math.exp(log_cdf) - o), 1e-7)))
     return rep
 
 

@@ -1,10 +1,9 @@
 """Dense complex matrix primitives: the row-scaled log-determinant shared by
-the determinant routes, its batched Monte Carlo form, and a cofactor
-oracle."""
+the determinant routes and its batched Monte Carlo form."""
 
 import numpy as np
 
-__all__ = ["logdet", "logdet_batch", "det_cofactor"]
+__all__ = ["logdet", "logdet_batch"]
 
 
 def logdet(a: np.ndarray) -> tuple[float, float]:
@@ -40,16 +39,3 @@ def logdet_batch(a: np.ndarray) -> np.ndarray:
     sign, logmod = np.linalg.slogdet(a)
     return np.where(sign == 0, -np.inf, logmod)
 
-
-def det_cofactor(a: np.ndarray) -> complex:
-    """Brute-force determinant by first-row cofactor expansion (oracle)."""
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 1:
-        return complex(a[0, 0])
-    total = 0.0 + 0.0j
-    cols = np.arange(n)
-    for j in range(n):
-        minor = a[1:][:, cols != j]
-        total += (-1) ** j * a[0, j] * det_cofactor(minor)
-    return complex(total)

@@ -1,5 +1,5 @@
-"""Scalar special functions: log-gamma, Barnes G, regularized incomplete
-gamma/beta, and the complementary error function.
+"""Scalar special functions: Barnes G, the upper incomplete gamma in log
+form, and the complementary error function.
 
 Everything ensemble-sized is exposed in log form so that constants remain
 finite for matrix orders up to ~10^3.
@@ -11,12 +11,7 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "log_gamma",
     "log_barnes_g",
-    "reg_lower_gamma",
-    "log_reg_upper_gamma",
-    "reg_inc_beta",
-    "log_reg_inc_beta",
     "erfc",
     "erfc_complex",
 ]
@@ -32,13 +27,6 @@ _BARNES_TAIL = (
     1.0 / 1056.0,
     -691.0 / 327600.0,
 )
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return float(_sp.gammaln(x))
 
 
 def log_barnes_g(x: float) -> float:
@@ -75,31 +63,6 @@ def log_barnes_g(x: float) -> float:
     return float(out + shift)
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    if a <= 0.0:
-        raise ValueError(f"reg_lower_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got {x}")
-    return float(_sp.gammainc(a, x))
-
-
-def log_reg_upper_gamma(a: float, x: float) -> float:
-    """ln Q(a, x) for the regularized upper incomplete gamma.
-
-    Stays finite far into the tail where Q itself would underflow.
-    """
-    if a <= 0.0:
-        raise ValueError(f"log_reg_upper_gamma requires a > 0, got {a}")
-    if x <= 0.0:
-        return 0.0
-    q = float(_sp.gammaincc(a, x))
-    if q > 1e-280:
-        return math.log(q)
-    # deep tail: Q(a,x) ~ x^{a-1} e^{-x} / Gamma(a) * CF correction
-    return _log_upper_gamma_cf(a, x) - float(_sp.gammaln(a))
-
-
 def _log_upper_gamma_cf(a: float, x: float) -> float:
     """ln of the (unregularized) upper incomplete gamma via Lentz CF, x > a."""
     tiny = 1e-300
@@ -122,32 +85,6 @@ def _log_upper_gamma_cf(a: float, x: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             break
     return a * math.log(x) - x + math.log(h)
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b), a > 0, b > 0, x in [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    return float(_sp.betainc(a, b, x))
-
-
-def log_reg_inc_beta(a: float, b: float, x: float) -> float:
-    """ln I_x(a, b), finite where I_x itself underflows, through
-    I_x(a,b) = x^a (1-x)^b / (a B(a,b)) 2F1(a+b, 1; a+1; x) (DLMF 8.17.8)."""
-    v = reg_inc_beta(a, b, x)
-    if v > 1e-280:
-        return math.log(v)
-    if x == 0.0:
-        return -math.inf
-    log_lead = (
-        a * math.log(x)
-        + b * math.log1p(-x)
-        - math.log(a)
-        - float(_sp.betaln(a, b))
-    )
-    return log_lead + math.log(float(_sp.hyp2f1(a + b, 1.0, a + 1.0, x)))
 
 
 def erfc(x: float) -> float:

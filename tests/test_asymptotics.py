@@ -16,7 +16,6 @@ from charpoly.asymptotics import (
     gue_largest_f,
     lemniscate_asym,
     lemniscate_kappa,
-    noninteger_bulk,
     tcue_edge,
     bulk_interior,
 )
@@ -132,14 +131,6 @@ def test_two_charge_trend_vs_correlator():
     assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 0.1
 
 
-def test_noninteger_bulk_integer_coincidence():
-    # gamma = k2: same closed constants as the two-charge formula at z = 0
-    n, g, u2 = 16, 1.0, 0.9
-    assert noninteger_bulk(n, g, 1, u2) == pytest.approx(
-        bulk_two_charge(n, g, 1, 0.0, 0.0, u2), rel=1e-12
-    )
-
-
 def test_noninteger_bulk_trend_vs_induced_correlator():
     g1, k2, u2 = 1.5, 1, 0.8
     gaps = []
@@ -148,13 +139,13 @@ def test_noninteger_bulk_trend_vs_induced_correlator():
         ex = log_r_gamma_zero(n, 2.0 * g1) + correlator_finiteN(
             InducedGinibre(n, g1), ChargeConfiguration((z2,), (2.0,))
         )
-        gaps.append(_ratio_gap(ex, noninteger_bulk(n, g1, k2, u2)))
+        gaps.append(_ratio_gap(ex, bulk_two_charge(n, g1, k2, 0.0, 0.0, u2)))
     assert gaps[0] > gaps[1] > gaps[2] and gaps[2] < 0.1
 
 
 def test_noninteger_bulk_gap_factor_saturates():
     # u2 -> infinity: the LUE factor tends to 1
-    a = noninteger_bulk(16, 2.0, 1, 30.0)
+    a = bulk_two_charge(16, 2.0, 1, 0.0, 0.0, 30.0)
     b = (
         30.0**2
         - 3.0 * 16
@@ -168,7 +159,7 @@ def test_noninteger_bulk_gap_factor_saturates():
 
 def test_noninteger_bulk_hypothesis_guard():
     with pytest.raises(ValueError):
-        noninteger_bulk(8, 0.5, 1, 1.0)
+        bulk_two_charge(8, 0.5, 1, 0.0, 0.0, 1.0)
 
 
 # -- multi-charge edge -------------------------------------------------------

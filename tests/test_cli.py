@@ -77,6 +77,23 @@ def test_gap_with_oracle(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv, name, want",
+    [
+        (["--ensemble", "gue", "--k", "3", "--x", "-24"], "gap_cdf", -894.7124833790585),
+        (["--ensemble", "lue", "--k", "2", "--alpha", "800", "--x", "2048"], "lue_tail",
+         -1005.2197467677856),
+    ],
+)
+def test_gap_records_the_log_of_an_underflowing_probability(capsys, argv, name, want):
+    # references: 200-digit mpmath Hankels of exact moments
+    code, out = run_cli(capsys, "gap", *argv)
+    assert code == 0
+    rec = next(r for r in json.loads(out)["outputs"] if r["name"] == name)
+    assert rec["value"] == 0.0
+    assert rec["log_value"] == pytest.approx(want, abs=1e-9)
+
+
 def test_tcue_exact(capsys):
     code, out = run_cli(
         capsys, "exact", "--ensemble", "tcue", "--n", "3", "--m", "5", "--k", "1",

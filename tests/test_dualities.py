@@ -168,8 +168,6 @@ def test_gram_refuses_outside_its_envelope():
         ginibre_moment_toeplitz(4, -1.0005, 0.5)
 
 
-@pytest.mark.xfail(strict=True, reason="ginibre_moment_exact: the LUE-tail Hankel "
-                   "loses accuracy as k and N|z|^2 grow (its docstring table)")
 @pytest.mark.parametrize("n, k, z", [(800, 2, 1.45), (200, 3, 1.4 * cmath.exp(0.7j))])
 def test_exact_route_at_large_n_z2_vs_gram(n, k, z):
     assert ginibre_moment_exact(n, k, z) == pytest.approx(
@@ -228,6 +226,16 @@ def test_tcue_scaling_covariance_of_jue_route():
 def test_tcue_toeplitz_matches_exact():
     assert tcue_moment_toeplitz(5, 3, 2.0, 0.6) == pytest.approx(
         tcue_moment_exact(5, 3, 1, 0.6, 0.6), abs=1e-10
+    )
+
+
+@pytest.mark.parametrize("r", [0.9452036735324122, 0.9455147446881843, 0.9498331999657055])
+def test_tcue_factored_cross_check_accepts_a_correct_value_near_the_edge(r):
+    # exact_sweep's tcue_64_8_k2 inputs at benchmark seeds 201, 12 and 51:
+    # the 1e-10 JUE-factored cross-check holds only if the factored gap
+    # determinant is as accurate as the integral route here
+    assert tcue_moment_exact(64, 8, 2, r, r) == pytest.approx(
+        tcue_moment_toeplitz(64, 8, 4.0, r), abs=1e-10
     )
 
 

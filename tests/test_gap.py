@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,3 +119,67 @@ def test_non_integer_alpha_supported():
     v = gap_cdf(LUE(2, 1.7), 3.0)
     o = gap_oracle(LUE(2, 1.7), 3.0)
     assert v == pytest.approx(o, abs=1e-8)
+
+
+# -- the Gram-on-a-rule determinant against exact moments in mpmath ---------
+
+
+def _mp_log_gap(kind, k, x, a=0.0, b=0.0, dps=250):
+    """ln[k! det(m_{i+j}) / C] from exact incomplete moments m_n: the Gaussian
+    recurrence for GUE, the lower (CDF) or upper (tail) gamma for LUE, the
+    incomplete beta for JUE."""
+    with mpmath.workdps(dps):
+        x, a, b = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(b)
+        lg = mpmath.loggamma
+        if kind == "gue":
+            g = mpmath.exp(-x * x / 2)
+            m = [mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(-x / mpmath.sqrt(2)), -g]
+            for n in range(2, 2 * k - 1):
+                m.append((n - 1) * m[n - 2] - x ** (n - 1) * g)
+            logc = k * mpmath.log(2 * mpmath.pi) / 2 + sum(lg(j + 2) for j in range(k))
+        elif kind in ("lue", "lue_tail"):
+            lims = (x, mpmath.inf) if kind == "lue_tail" else (0, x)
+            m = [mpmath.gammainc(a + n + 1, *lims) for n in range(2 * k - 1)]
+            logc = sum(lg(a + j + 1) + lg(j + 2) for j in range(k))
+        else:
+            m = [mpmath.betainc(a + n + 1, b + 1, 0, x) for n in range(2 * k - 1)]
+            logc = sum(lg(a + j + 1) + lg(b + j + 1) + lg(j + 2) - lg(a + b + k + j + 1)
+                       for j in range(k))
+        hankel = mpmath.matrix([[m[i + j] for j in range(k)] for i in range(k)])
+        return float(lg(k + 1) + mpmath.log(mpmath.det(hankel)) - logc)
+
+
+@pytest.mark.parametrize(
+    "k, alpha, x",
+    [(2, 800, 2048.0), (3, 200, 392.0), (4, 64, 64 * 1.23**2), (4, 200, 392.0),
+     (10, 100, 150.0), (12, 400, 900.0), (8, 64, 108.16)],
+)
+def test_lue_tail_matches_mpmath_hankel(k, alpha, x):
+    want = _mp_log_gap("lue_tail", k, x, alpha)
+    assert abs(log_lue_tail(k, float(alpha), x) - want) <= 5e-12
+
+
+@pytest.mark.parametrize("k, x", [(14, 0.5), (3, -24.0), (4, -16.0), (10, -3.0)])
+def test_gue_cdf_matches_mpmath_hankel(k, x):
+    assert abs(log_gap_cdf(GUE(k), x) - _mp_log_gap("gue", k, x)) <= 5e-12
+
+
+@pytest.mark.parametrize(
+    "m, n, k, absz",
+    [(600, 20, 2, 0.6), (64, 8, 2, 0.9452), (64, 8, 3, 0.9), (200, 20, 2, 0.97)],
+)
+def test_jue_cdf_of_the_factored_tcue_form_matches_mpmath_hankel(m, n, k, absz):
+    u = 1.0 - absz * absz
+    want = _mp_log_gap("jue", k, u, m - n, n)
+    assert abs(log_gap_cdf(JUE(k, float(m - n), float(n)), u) - want) <= 5e-12
+
+
+def test_non_integer_hard_edge_stays_accurate():
+    # t^alpha at t = 0 is smooth in the rule's variable, v = ln t or logit t
+    for ens, x, want in (
+        (LUE(2, 0.5), 3.0, _mp_log_gap("lue", 2, 3.0, 0.5, dps=60)),
+        (LUE(2, -0.9), 2.0, _mp_log_gap("lue", 2, 2.0, -0.9, dps=60)),
+        (JUE(2, 0.5, 2.5), 0.99, _mp_log_gap("jue", 2, 0.99, 0.5, 2.5, dps=60)),
+    ):
+        assert abs(log_gap_cdf(ens, x) - want) <= 1e-12
+    assert abs(log_lue_tail(2, 1.5, 0.01) - _mp_log_gap("lue_tail", 2, 0.01, 1.5, dps=60)) <= 1e-14

@@ -6,7 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charpoly.ensembles import _rng, sample_haar_unitary
-from charpoly.linalg import det_cofactor, logdet, logdet_batch
+from charpoly.linalg import logdet, logdet_batch
+
+
+def det_cofactor(a: np.ndarray) -> complex:
+    """Brute-force determinant by first-row cofactor expansion (oracle)."""
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[0]
+    if n == 1:
+        return complex(a[0, 0])
+    total = 0.0 + 0.0j
+    cols = np.arange(n)
+    for j in range(n):
+        minor = a[1:][:, cols != j]
+        total += (-1) ** j * a[0, j] * det_cofactor(minor)
+    return complex(total)
 
 
 def test_logdet_identity():
