@@ -215,7 +215,7 @@ def edge_f_km(u, v) -> complex:
     return z_half / vand
 
 
-def edge_multi(n: int, z: complex, ev: EdgeVectors, route: str = "det") -> float:
+def edge_multi(n: int, z: complex, ev: EdgeVectors) -> float:
     """ln of the multi-charge edge expansion at x_j = z - u_j/(conj(z) sqrt N),
     conj(y_j) = conj(z) - conj(v_j)/(z sqrt N) with |z| = 1:
     -> exp(-sum_j (sqrt N (u_j + conj v_j) - (u_j^2 + conj(v_j)^2)/2)
@@ -224,7 +224,7 @@ def edge_multi(n: int, z: complex, ev: EdgeVectors, route: str = "det") -> float
     if abs(abs(z) - 1.0) > 1e-12:
         raise ValueError("edge expansion requires |z| = 1")
     k = ev.k
-    f = edge_f_det(ev.u, ev.v) if route == "det" else edge_f_km(ev.u, ev.v)
+    f = edge_f_det(ev.u, ev.v)
     expo = 0.0 + 0.0j
     for uj, vj in zip(ev.u, ev.v):
         vjb = vj.conjugate()

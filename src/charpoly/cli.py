@@ -21,7 +21,8 @@ from . import dualities as dual
 from . import gap as gapmod
 from . import painleve as pain
 from .ensembles import ChargeConfiguration, Ginibre, TruncatedCUE, mc_moment
-from .verify import RunReport, _result, run_verification_suite
+from .verify import (EXPANSIONS, RunReport, _result, first_route, moment_routes,
+                     run_verification_suite)
 
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE = 0, 1, 2
 
@@ -49,35 +50,17 @@ def cmd_exact(args) -> RunReport:
     (ValueError) is recorded as skipped with its reason; the routes that
     returned are checked against each other."""
     rep = RunReport("exact", vars_of(args), seed=args.seed)
-    z, n, k = args.z, args.n, args.k
-    gamma = args.gamma if args.gamma is not None else 2.0 * k
-    if args.ensemble == "ginibre":
-        routes = [("exact", lambda: dual.ginibre_moment_exact(n, k, z))] if k is not None else []
-        routes += [
-            ("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z)),
-            ("pv", lambda: dual.ginibre_moment_pv(n, gamma, z, args.tol)),
-        ]
-        tol = max(1e-6, 10 * args.tol)
-    else:
-        m = args.m
-        if m is None:
-            raise ValueError("--m is required for the truncated CUE")
-        routes = [
-            ("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate())),
-            ("exact-jue-factored", lambda: dual.tcue_moment_factored(m, n, k, abs(z))),
-        ] if k is not None else []
-        routes.append(("gram", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z)))
-        tol = 1e-8
-    reasons = []
-    for route, fn in routes:
+    gamma = args.gamma if args.gamma is not None else 2.0 * args.k
+    for route, fn in moment_routes(args.ensemble, args.n, gamma, args.z, args.m, args.tol):
         try:
             rep.outputs.append(_record("moment", route, fn()))
         except ValueError as exc:
             rep.outputs.append({"name": "moment", "route": route, "skipped": str(exc)})
-            reasons.append(f"{route}: {exc}")
-    if len(reasons) == len(routes):
-        raise ValueError("every route refused (" + "; ".join(reasons) + ")")
     logs = [r["log_value"] for r in rep.outputs if "skipped" not in r]
+    if not logs:
+        raise ValueError("every route refused (" + "; ".join(
+            f"{r['route']}: {r['skipped']}" for r in rep.outputs) + ")")
+    tol = max(1e-6, 10 * args.tol) if args.ensemble == "ginibre" else 1e-8
     if len(logs) >= 2:
         rep.checks.append(asdict(_result("route_agreement", max(logs) - min(logs), tol)))
     return rep
@@ -85,32 +68,15 @@ def cmd_exact(args) -> RunReport:
 
 def cmd_mc(args) -> RunReport:
     rep = RunReport("mc", vars_of(args), seed=args.seed)
-    z = args.z
     gamma = args.gamma if args.gamma is not None else 2.0 * args.k
-    charges = ChargeConfiguration((z,), (gamma,))
-    if args.ensemble == "ginibre":
-        spec, ref = Ginibre(args.n), dual.ginibre_moment_toeplitz(args.n, gamma, z)
-    elif args.m is None:
-        raise ValueError("--m is required for the truncated CUE")
-    else:
-        spec = TruncatedCUE(args.m, args.n)
-        ref = dual.tcue_moment_toeplitz(args.m, args.n, gamma, z)
-    est = mc_moment(spec, charges, args.samples, args.seed)
+    route, ref = first_route(moment_routes(args.ensemble, args.n, gamma, args.z, args.m, args.tol))
+    spec = Ginibre(args.n) if args.ensemble == "ginibre" else TruncatedCUE(args.m, args.n)
+    est = mc_moment(spec, ChargeConfiguration((args.z,), (gamma,)), args.samples, args.seed)
+    diagnostics = ("mean_shifted", "stderr_shifted", "log_shift", "n_samples", "ess")
     rep.outputs.append(
-        _record(
-            "moment",
-            "mc",
-            est.log_value,
-            {
-                "mean_shifted": est.mean_shifted,
-                "stderr_shifted": est.stderr_shifted,
-                "log_shift": est.log_shift,
-                "n_samples": est.n_samples,
-                "ess": est.ess,
-            },
-        )
+        _record("moment", "mc", est.log_value, {key: getattr(est, key) for key in diagnostics})
     )
-    rep.outputs.append(_record("moment", "gram", ref))
+    rep.outputs.append(_record("moment", route, ref))
     rep.checks.append(asdict(_result("mc_within_3_stderr", est.sigmas(ref), 3.0)))
     return rep
 
@@ -147,31 +113,24 @@ def cmd_gap(args) -> RunReport:
 def cmd_painleve(args) -> RunReport:
     rep = RunReport("painleve", vars_of(args), seed=args.seed)
     if args.family == "p4":
+        fam = pain.PIV(args.k)
         sol = pain.piv_solution(args.k)
         f = pain.piv_f(args.k, args.x, tol=args.tol)
-        ref = (
-            gapmod.gap_cdf(gapmod.GUE(int(args.k)), args.x)
-            if abs(args.k - round(args.k)) < 1e-12 and args.k >= 1
-            else None
-        )
-    elif args.family == "p5":
-        fam = pain.PV(args.k, args.alpha)
-        t0 = max(1.0, args.x)
-        sol = pain.solve_span(
-            fam, pain.init_from_gap(fam, t0), min(args.x, t0) * 0.9, max(args.x, t0) + 1.0,
-            tol=args.tol,
-        )
+    else:  # transport from the gap ensemble's sigma data at t0 across x
+        if args.family == "p5":
+            fam, t0 = pain.PV(args.k, args.alpha), max(1.0, args.x)
+            hi = max(args.x, t0) + 1.0
+        else:
+            fam, t0 = pain.pvi_from_jue(args.k, args.alpha, args.beta), 0.5
+            hi = min(max(args.x, t0) + 0.02, 0.99)
+        init = pain.init_from_gap(fam, t0)
+        sol = pain.solve_span(fam, init, min(args.x, t0) * 0.9, hi, tol=args.tol)
         f = pain.F_from_sigma(fam, sol, args.x)
-        ref = gapmod.gap_cdf(gapmod.LUE(int(args.k), args.alpha), args.x)
-    else:
-        fam = pain.pvi_from_jue(args.k, args.alpha, args.beta)
-        t0 = 0.5
-        sol = pain.solve_span(
-            fam, pain.init_from_gap(fam, t0), min(args.x, t0) * 0.9,
-            min(max(args.x, t0) + 0.02, 0.99), tol=args.tol,
-        )
-        f = pain.F_from_sigma(fam, sol, args.x)
-        ref = gapmod.gap_cdf(gapmod.JUE(int(args.k), args.alpha, args.beta), args.x)
+    try:
+        ens = pain.gap_ensemble(fam)
+    except ValueError:  # PIV at a non-integer k has no gap ensemble
+        ens = None
+    ref = gapmod.gap_cdf(ens, args.x) if ens is not None else None
     route = {"p4": "piv-ode", "p5": "pv-ode", "p6": "pvi-ode"}[args.family]
     rep.outputs.append(
         _record("F", route, math.log(f) if f > 0 else None,
@@ -188,29 +147,9 @@ def cmd_painleve(args) -> RunReport:
 
 def cmd_asym(args) -> RunReport:
     rep = RunReport("asym", vars_of(args), seed=args.seed)
-    z = args.z
-    th = args.expansion
-    if th == "interior":
-        a = asym.bulk_interior(args.n, args.gamma, z)
-        route, ref = "gram", dual.ginibre_moment_toeplitz(args.n, args.gamma, z)
-    elif th in ("edge", "exterior"):
-        a = (asym.ginibre_edge if th == "edge" else asym.ginibre_exterior)(args.n, args.k, z)
-        route, ref = "gram", dual.ginibre_moment_toeplitz(args.n, 2.0 * args.k, z)
-    elif th == "two-charge":
-        a = asym.bulk_two_charge(args.n, args.k, int(args.k2), z, args.u1, args.u2)
-        rn = math.sqrt(args.n)
-        route, ref = "correlator", dual.correlator_finiteN(
-            dual.GinibreWeight(args.n),
-            ChargeConfiguration(
-                (z + args.u1 / rn, z + args.u2 / rn), (2.0 * args.k, 2.0 * args.k2)
-            ),
-        )
-    else:  # tcue-edge; argparse choices admit nothing else
-        a = asym.tcue_edge(args.n, args.kappa, args.k and int(args.k) or 1, args.u1)
-        zz = 1.0 - args.u1 / args.n
-        route, ref = "exact", dual.tcue_moment_exact(
-            args.n + int(args.kappa), args.n, int(args.k or 1), zz, zz
-        )
+    expand, reference = EXPANSIONS[args.expansion]
+    a = expand(args)
+    route, ref = reference(args)
     rep.outputs.append(_record("moment", "asym", a))
     rep.outputs.append(_record("moment", route, ref))
     rep.outputs.append(
@@ -299,26 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
         if n:
             sp.add_argument("--n", type=int, required=True, help="matrix size N")
 
-    sp = add_parser("exact", help="exact finite-N routes for one moment")
-    common(sp)
-    sp.add_argument("--ensemble", choices=["ginibre", "tcue"], default="ginibre")
-    sp.add_argument("--m", type=int, help="ambient unitary size M (tcue)")
-    order = sp.add_mutually_exclusive_group(required=True)
-    order.add_argument("--k", type=int, help="integer moment order (exponent 2k)")
-    order.add_argument("--gamma", type=float, help="real exponent gamma")
-    sp.add_argument("--z", type=_parse_z, default=complex(0.0), help="'re' or 're,im'")
-    sp.set_defaults(func=cmd_exact)
-
-    sp = add_parser("mc", help="Monte Carlo moment estimate")
-    common(sp)
-    sp.add_argument("--ensemble", choices=["ginibre", "tcue"], default="ginibre")
-    sp.add_argument("--m", type=int)
-    order = sp.add_mutually_exclusive_group(required=True)
-    order.add_argument("--k", type=int)
-    order.add_argument("--gamma", type=float)
-    sp.add_argument("--z", type=_parse_z, default=complex(0.0))
-    sp.add_argument("--samples", type=int, default=20000)
-    sp.set_defaults(func=cmd_mc)
+    for name, func, text in (("exact", cmd_exact, "exact finite-N routes for one moment"),
+                             ("mc", cmd_mc, "Monte Carlo moment estimate")):
+        sp = add_parser(name, help=text)
+        common(sp)
+        sp.add_argument("--ensemble", choices=["ginibre", "tcue"], default="ginibre")
+        sp.add_argument("--m", type=int, help="ambient unitary size M (tcue)")
+        order = sp.add_mutually_exclusive_group(required=True)
+        order.add_argument("--k", type=int, help="integer moment order (exponent 2k)")
+        order.add_argument("--gamma", type=float, help="real exponent gamma")
+        sp.add_argument("--z", type=_parse_z, default=complex(0.0), help="'re' or 're,im'")
+        sp.set_defaults(func=func)
+    sp.add_argument("--samples", type=int, default=20000)  # mc only
 
     sp = add_parser("gap", help="extreme-eigenvalue probabilities")
     common(sp, n=False)
@@ -343,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument(
         "--expansion",
-        choices=["interior", "edge", "two-charge", "tcue-edge", "exterior"],
+        choices=list(EXPANSIONS),
         required=True,
     )
     sp.add_argument("--k", type=float, default=1.0)

@@ -205,7 +205,10 @@ def _log_gram_det(weight: RadialWeightSpec, gamma: float, z: complex) -> float:
     offset from |z|.
 
     Measured envelope, refused outside it: gamma = 2, 4 within 4e-10 of
-    ``correlator_finiteN`` for N <= 800, |z| <= 3; non-even gamma >= -1.95
+    ``correlator_finiteN`` for N <= 800, |z| <= 3; even gamma = 6..16 within
+    5e-11 of the exact dualities for N <= 2^(8 - gamma/2), |z| <= 3, and gamma
+    = 6 within 1.1e-10 for N <= 800, |z| >= 1.3 (round-off grows past that:
+    1e-8 at gamma = 6, N = 400, |z| = 0.9); non-even gamma >= -1.95
     within 5e-13 of Toeplitz determinants in 80 digits for N <= 16, 1.4e-11 at
     N = 32 and 2.2e-11 at N = 64 (|z| <= 1.4), within 2e-10 for |gamma + 1| >=
     1e-3 (15.8.4 loses 1/|gamma + 1|; -1 itself is exact).  At the tCUE edge
@@ -213,9 +216,12 @@ def _log_gram_det(weight: RadialWeightSpec, gamma: float, z: complex) -> float:
     n, c = weight.n, abs(complex(z))
     even, tcue = gamma % 2 == 0, isinstance(weight, TruncatedCUEWeight)
     if (gamma < -1.95 or 0.0 < abs(gamma + 1.0) < 1e-3 or (not even and n > 64)
-            or (tcue and n >= 400 and abs(c - 1.0) <= 0.05)):
+            or (tcue and n >= 400 and abs(c - 1.0) <= 0.05)
+            or (even and gamma >= 6 and n > 2.0 ** (8 - gamma / 2)
+                and not (gamma == 6 and c >= 1.3 and n <= 800))):
         raise ValueError("outside the Gram route's envelope: gamma >= -1.95, |gamma + 1| = 0 or "
-                         ">= 1e-3, N <= 64 for non-even gamma, tCUE N < 400 at ||z| - 1| <= 0.05")
+                         ">= 1e-3, N <= 64 for non-even gamma, tCUE N < 400 at ||z| - 1| <= 0.05, "
+                         "N <= 2^(8 - gamma/2) at even gamma >= 6 (800 at gamma = 6, |z| >= 1.3)")
     if gamma == 0.0:
         return 0.0
     if tcue:

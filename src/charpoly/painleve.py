@@ -52,6 +52,7 @@ __all__ = [
     "transport_integrand",
     "log_derivatives",
     "sigma_data",
+    "gap_ensemble",
     "init_from_gap",
     "solve_span",
     "F_from_sigma",
@@ -306,27 +307,31 @@ def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
     raise TypeError(f"unknown family {f!r}")
 
 
-def init_from_gap(f: SigmaFamily, t0: float, h: Optional[float] = None) -> SigmaInit:
-    """``sigma_data`` at t0 from the largest-eigenvalue CDF of the matching
-    gap ensemble, whose size must be a positive integer: GUE(k) for PIV,
-    LUE(k, alpha) for PV and the JUE of ``jue_from_pvi`` for PVI.  The
-    default step h is 4e-3 max(1, |t0|) for PIV, the same capped at t0/4.5
-    for PV, and 4e-3 min(t0, 1 - t0) for PVI.
-    """
+def gap_ensemble(f: SigmaFamily):
+    """The gap ensemble whose largest-eigenvalue CDF the family transports:
+    GUE(k) for PIV, LUE(k, alpha) for PV and the JUE of ``jue_from_pvi`` for
+    PVI.  Its size must be a positive integer (ValueError otherwise)."""
     if isinstance(f, PIV):
-        ens = _gap.GUE(_require_int(f.k, "PIV gap initialization"))
-        default_h = 4e-3 * max(1.0, abs(t0))
-    elif isinstance(f, PV):
-        ens = _gap.LUE(_require_int(f.k, "PV gap initialization"), f.alpha)
-        default_h = min(4e-3 * max(1.0, abs(t0)), t0 / 4.5)
-    elif isinstance(f, PVI):
+        return _gap.GUE(_require_int(f.k, "the PIV gap ensemble"))
+    if isinstance(f, PV):
+        return _gap.LUE(_require_int(f.k, "the PV gap ensemble"), f.alpha)
+    if isinstance(f, PVI):
         kr, alpha, beta = jue_from_pvi(f)
-        ens = _gap.JUE(_require_int(kr, "PVI gap initialization"), alpha, beta)
-        default_h = 4e-3 * min(t0, 1.0 - t0)
-    else:
-        raise TypeError(f"unknown family {f!r}")
-    logp = lambda x: _gap.log_gap_cdf(ens, x)
-    return sigma_data(f, logp, t0, default_h if h is None else h)
+        return _gap.JUE(_require_int(kr, "the PVI gap ensemble"), alpha, beta)
+    raise TypeError(f"unknown family {f!r}")
+
+
+def init_from_gap(f: SigmaFamily, t0: float, h: Optional[float] = None) -> SigmaInit:
+    """``sigma_data`` at t0 from the largest-eigenvalue CDF of
+    ``gap_ensemble(f)``.  The default step h is 4e-3 max(1, |t0|) for PIV,
+    the same capped at t0/4.5 for PV, and 4e-3 min(t0, 1 - t0) for PVI.
+    """
+    ens = gap_ensemble(f)
+    if h is None:
+        h = 4e-3 * (min(t0, 1.0 - t0) if isinstance(f, PVI) else max(1.0, abs(t0)))
+        if isinstance(f, PV):
+            h = min(h, t0 / 4.5)
+    return sigma_data(f, lambda x: _gap.log_gap_cdf(ens, x), t0, h)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -28,7 +29,8 @@ from . import oracles
 from . import painleve as pain
 from .ensembles import ChargeConfiguration, Ginibre, TruncatedCUE, mc_moment, worker_count
 
-__all__ = ["CheckResult", "RunReport", "run_verification_suite", "CHECKS"]
+__all__ = ["CheckResult", "RunReport", "run_verification_suite", "CHECKS", "moment_routes",
+           "first_route", "EXPANSIONS", "TRENDS"]
 
 
 @dataclass
@@ -104,6 +106,80 @@ def _json_default(x):
 def _result(name, observed, tolerance, detail=""):
     ok = bool(observed <= tolerance) and math.isfinite(observed)
     return CheckResult(name, ok, float(observed), float(tolerance), detail)
+
+
+# ---------------------------------------------------------------------------
+# the route table shared by the CLI, the scripts and the convergence trends
+# ---------------------------------------------------------------------------
+
+def moment_routes(ensemble: str, n: int, gamma: float, z: complex, m=None, tol=1e-7):
+    """(label, thunk) pairs for ln E|det(A - z)|^gamma, most trusted first,
+    for A Ginibre ("ginibre") or the N x N truncation of Haar U(M) ("tcue").
+    The exact dualities are listed only when gamma/2 is a positive integer;
+    a thunk raises ValueError outside its route's domain."""
+    half = 0.5 * float(gamma)
+    k = int(half) if half.is_integer() and half >= 1 else None
+    if ensemble == "ginibre":
+        exact = [("exact", lambda: dual.ginibre_moment_exact(n, k, z))]
+        return (exact if k else []) + [
+            ("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z)),
+            ("pv", lambda: dual.ginibre_moment_pv(n, gamma, z, tol)),
+        ]
+    if m is None:
+        raise ValueError("--m is required for the truncated CUE")
+    exact = [
+        ("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate())),
+        ("exact-jue-factored", lambda: dual.tcue_moment_factored(m, n, k, abs(z))),
+    ]
+    return (exact if k else []) + [("gram", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z))]
+
+
+def first_route(routes):
+    """(label, value) of the first route that accepts its input, or one
+    ValueError with every route's reason when all of them refuse."""
+    reasons = []
+    for label, fn in routes:
+        try:
+            return label, fn()
+        except ValueError as exc:
+            reasons.append(f"{label}: {exc}")
+    raise ValueError("every route refused (" + "; ".join(reasons) + ")")
+
+
+def _pair_correlator(p, k1, k2):
+    """Charges 2 k1, 2 k2 at z + u1/sqrt(N), z + u2/sqrt(N) by the finite-N correlator."""
+    rn = math.sqrt(p.n)
+    return "correlator", dual.correlator_finiteN(
+        dual.GinibreWeight(p.n),
+        ChargeConfiguration((p.z + p.u1 / rn, p.z + p.u2 / rn), (2.0 * k1, 2.0 * k2)),
+    )
+
+
+def _tcue_edge_moment(p):
+    """The truncated-CUE moment at M = N + kappa, |z| = 1 - u1/N (k = 0 reads as 1)."""
+    if not float(p.kappa).is_integer():
+        raise ValueError("the tcue-edge reference needs an integer kappa = M - N")
+    zz = 1.0 - p.u1 / p.n
+    return first_route(moment_routes("tcue", p.n, 2.0 * (int(p.k) or 1), zz, m=p.n + int(p.kappa)))
+
+
+# expansion -> (its log, (label, log) of its finite-N reference), each a
+# function of a namespace with the `charpoly asym` options n, z, k, k2, gamma,
+# kappa, u1 and u2
+EXPANSIONS = {
+    "interior": (lambda p: asym.bulk_interior(p.n, p.gamma, p.z),
+                 lambda p: first_route(moment_routes("ginibre", p.n, p.gamma, p.z))),
+    "edge": (lambda p: asym.ginibre_edge(p.n, p.k, p.z),
+             lambda p: first_route(moment_routes("ginibre", p.n, 2.0 * p.k, p.z))),
+    "exterior": (lambda p: asym.ginibre_exterior(p.n, p.k, p.z),
+                 lambda p: first_route(moment_routes("ginibre", p.n, 2.0 * p.k, p.z))),
+    "two-charge": (lambda p: asym.bulk_two_charge(p.n, p.k, int(p.k2), p.z, p.u1, p.u2),
+                   lambda p: _pair_correlator(p, p.k, p.k2)),
+    "bulk-multi": (
+        lambda p: asym.bulk_multi(p.n, p.z, asym.EdgeVectors((p.u1, p.u2), (p.u1, p.u2))),
+        lambda p: _pair_correlator(p, 1.0, 1.0)),
+    "tcue-edge": (lambda p: asym.tcue_edge(p.n, p.kappa, int(p.k) or 1, p.u1), _tcue_edge_moment),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +328,8 @@ def check_noninteger_routes(level: str, seed: int):
 
 def check_tcue(level: str, seed: int):
     """Truncated-CUE Monte Carlo vs the Andreief route, the
-    C_{2,1,1} = 1/2 constant, and the two internal exact routes."""
+    C_{2,1,1} = 1/2 constant, the two internal exact routes, and the Gram
+    route on |z| = 1 vs the Morris product (``log_tcue_r_gamma_one``)."""
     samples = 200_000 if level == "full" else 20_000
     exact = dual.tcue_moment_exact(8, 6, 1, 0.5, 0.5)
     est = mc_moment(
@@ -266,6 +343,12 @@ def check_tcue(level: str, seed: int):
     a = dual.tcue_moment_exact(6, 4, 2, 0.5, 0.5, check_factored=False)
     b = dual.tcue_moment_factored(6, 4, 2, 0.5)
     out.append(_result("c08_internal_routes", abs(a - b), 1e-10))
+    worst = max(
+        abs(dual.tcue_moment_toeplitz(m, n, g, cmath.exp(0.7j))
+            - dual.log_tcue_r_gamma_one(m, n, g))
+        for m, n, g in ((5, 3, 1.7), (40, 8, 3.9), (64, 8, -0.5), (20, 12, 2.7))
+    )
+    out.append(_result("c08_gram_vs_morris", worst, 1e-9, "|z| = 1, gamma in [-0.5, 3.9]"))
     return out
 
 
@@ -333,59 +416,38 @@ def _trend(vals, slack=1.10):
     return ok, vals[-1]
 
 
+# (expansion, Ns, params): one c11 trend per entry, named after the expansion
+TRENDS = (
+    ("interior", (50, 200, 800), {"gamma": 2.0, "z": 0.5}),
+    ("edge", (50, 200, 800), {"k": 1.0, "z": 1.0}),
+    ("two-charge", (8, 32, 128), {"k": 1.0, "k2": 1.0, "z": 0.0, "u1": 0.0, "u2": 1.2}),
+    ("tcue-edge", (40, 160, 640), {"k": 1.0, "kappa": 2.0, "u1": 1.0}),
+    ("exterior", (50, 200, 800), {"k": 1.0, "z": 1.5}),
+    ("bulk-multi", (8, 32, 128), {"z": 0.0, "u1": 0.3, "u2": 1.1}),
+)
+
+
 def convergence_rows(level: str):
     """(name, N, exact_log, asym_log) rows for the convergence trends."""
     rows = []
-    for n in (50, 200, 800):
-        rows.append(
-            ("interior", n, dual.ginibre_moment_exact(n, 1, 0.5), asym.bulk_interior(n, 2.0, 0.5))
-        )
-    for n in (50, 200, 800):
-        rows.append(
-            ("edge", n, dual.ginibre_moment_exact(n, 1, 1.0), asym.ginibre_edge(n, 1.0, 1.0))
-        )
-    for n in (8, 32, 128):
-        u1, u2 = 0.0, 1.2
-        ex = dual.correlator_finiteN(
-            dual.GinibreWeight(n),
-            ChargeConfiguration(
-                (u1 / math.sqrt(n), u2 / math.sqrt(n)), (2.0, 2.0)
-            ),
-        )
-        rows.append(("two_charge", n, ex, asym.bulk_two_charge(n, 1.0, 1, 0.0, u1, u2)))
-    for n in (40, 160, 640):
-        ex = dual.tcue_moment_exact(n + 2, n, 1, 1.0 - 1.0 / n, 1.0 - 1.0 / n)
-        rows.append(("tcue_edge", n, ex, asym.tcue_edge(n, 2.0, 1, 1.0)))
-    for n in (50, 200, 800):
-        rows.append(
-            (
-                "exterior",
-                n,
-                dual.ginibre_moment_exact(n, 1, 1.5),
-                asym.ginibre_exterior(n, 1.0, 1.5),
-            )
-        )
+    for name, ns, params in TRENDS:
+        expand, reference = EXPANSIONS[name]
+        for n in ns:
+            p = SimpleNamespace(n=n, **params)
+            rows.append((name.replace("-", "_"), n, reference(p)[1], expand(p)))
     return rows
 
 
 def check_convergence_trends(level: str, seed: int):
     """|exp(exact - asym) - 1| decreasing (10% slack) with final < 0.1."""
-    rows = convergence_rows(level)
     by_name: dict[str, list] = {}
-    for name, n, ex, a in rows:
+    for name, n, ex, a in convergence_rows(level):
         by_name.setdefault(name, []).append(abs(math.expm1(ex - a)))
     out = []
     for name, vals in by_name.items():
         ok, final = _trend(vals)
-        obs = final if ok else math.inf
-        out.append(
-            _result(
-                f"c11_trend_{name}",
-                obs,
-                0.1,
-                "ratios " + ", ".join(f"{v:.4f}" for v in vals),
-            )
-        )
+        detail = "ratios " + ", ".join(f"{v:.4f}" for v in vals)
+        out.append(_result(f"c11_trend_{name}", final if ok else math.inf, 0.1, detail))
     return out
 
 
@@ -485,13 +547,8 @@ def run_verification_suite(level: str = "quick", seed: int = 1) -> RunReport:
     )
     if level == "full":
         report.outputs = [
-            {
-                "name": f"convergence_{name}_N{n}",
-                "route": "exact|asym",
-                "exact_log": ex,
-                "asym_log": a,
-                "ratio": math.exp(ex - a),
-            }
+            {"name": f"convergence_{name}_N{n}", "route": "exact|asym", "exact_log": ex,
+             "asym_log": a, "ratio": math.exp(ex - a)}
             for name, n, ex, a in convergence_rows(level)
         ]
     return report

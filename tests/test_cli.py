@@ -11,6 +11,7 @@ import charpoly
 from charpoly.cli import main
 from charpoly.dualities import ginibre_moment_toeplitz
 from charpoly.ensembles import worker_count
+from charpoly.verify import EXPANSIONS
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +117,36 @@ def test_asym_report(capsys):
     assert abs(ratio["ratio"] - 1.0) < 0.05
 
 
+# options that put each expansion inside its domain
+_ASYM_ARGV = {
+    "interior": ["--gamma", "1.3", "--z", "0.4"],
+    "edge": ["--k", "1", "--z", "1.0"],
+    "exterior": ["--k", "1", "--z", "1.5"],
+    "two-charge": ["--k", "2", "--k2", "1", "--z", "0.2"],
+    "bulk-multi": ["--z", "0.2", "--u1", "0.3", "--u2", "1.1"],
+    "tcue-edge": ["--kappa", "2", "--u1", "1"],
+}
+
+
+@pytest.mark.parametrize("expansion", sorted(EXPANSIONS))
+def test_every_expansion_runs_against_a_named_reference(capsys, expansion):
+    assert set(_ASYM_ARGV) == set(EXPANSIONS)
+    code, out = run_cli(capsys, "asym", "--expansion", expansion, "--n", "32",
+                        *_ASYM_ARGV[expansion])
+    assert code == 0
+    routes = [r["route"] for r in json.loads(out)["outputs"]]
+    assert len(routes) == 3 and routes[0] == "asym"
+    assert routes[1] in ("exact", "gram", "correlator") and routes[2] == f"{routes[1]}/asym"
+
+
+def test_tcue_edge_refuses_a_non_integer_kappa(capsys):
+    # M = N + kappa has no truncated CUE at kappa = 2.5; the reference once
+    # took M = N + 2 and read ratio 1.25 at N = 640
+    code = main(["asym", "--expansion", "tcue-edge", "--n", "640", "--kappa", "2.5", "--u1", "1"])
+    assert code == 2
+    assert "integer kappa" in capsys.readouterr().err
+
+
 def test_asym_exterior_non_integer_k_compares_the_same_exponent(capsys):
     # the exterior reference once took ginibre_moment_exact(N, int(k), z),
     # the k = 1 moment, and read ratio 4.3e-8 here
@@ -185,8 +216,8 @@ def test_gap_oracle_beyond_k3_is_a_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv, route",
     [
-        (["mc", "--n", "3", "--k", "1", "--z", "0.5", "--samples", "500"], "gram"),
-        (["asym", "--expansion", "interior", "--n", "8", "--z", "0.3"], "gram"),
+        (["mc", "--n", "3", "--k", "1", "--z", "0.5", "--samples", "500"], "exact"),
+        (["asym", "--expansion", "interior", "--n", "8", "--z", "0.3"], "exact"),
         (["asym", "--expansion", "two-charge", "--n", "8", "--z", "0.3"], "correlator"),
         (["asym", "--expansion", "tcue-edge", "--n", "8", "--u1", "1"], "exact"),
     ],
@@ -218,6 +249,23 @@ def test_exact_skips_refusing_routes(capsys, argv, skipped):
     # the two returned routes are checked against each other
     assert [c["name"] for c in doc["checks"]] == ["route_agreement"]
     assert doc["checks"][0]["passed"]
+
+
+def test_exact_gamma_two_lists_the_exact_route(capsys):
+    code, out = run_cli(capsys, "exact", "--n", "8", "--gamma", "2", "--z", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["route"] for r in doc["outputs"]] == ["exact", "gram", "pv"]
+    assert doc["checks"][0]["passed"]
+
+
+def test_exact_skips_gram_outside_its_even_gamma_envelope(capsys):
+    code, out = run_cli(capsys, "exact", "--n", "200", "--k", "5", "--z", "0.81")
+    assert code == 0
+    doc = json.loads(out)
+    gram = next(r for r in doc["outputs"] if r["route"] == "gram")
+    assert "envelope" in gram["skipped"]
+    assert all(c["passed"] for c in doc["checks"])
 
 
 def test_exact_agreement_over_returned_routes(capsys):

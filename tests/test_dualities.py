@@ -175,6 +175,24 @@ def test_exact_route_at_large_n_z2_vs_gram(n, k, z):
     )
 
 
+@pytest.mark.parametrize("n, gamma, z", [(200, 10.0, 0.81), (800, 12.0, 0.81)])
+def test_gram_refuses_large_even_gamma_where_round_off_grows(n, gamma, z):
+    # the route once returned values 1.3e-6 and 0.98 off ginibre_moment_exact
+    # here, and 1.7e-7 and 1.5e-4 off tcue_moment_factored for the tCUE
+    with pytest.raises(ValueError, match="envelope"):
+        ginibre_moment_toeplitz(n, gamma, z)
+    with pytest.raises(ValueError, match="envelope"):
+        tcue_moment_toeplitz(n + 4, n, gamma, z)
+
+
+@pytest.mark.parametrize("n, gamma, z", [(32, 6.0, 0.85), (16, 8.0, 0.9), (4, 12.0, 0.7),
+                                         (800, 6.0, 1.3 * cmath.exp(0.7j))])
+def test_gram_keeps_even_gamma_inside_its_envelope(n, gamma, z):
+    assert ginibre_moment_toeplitz(n, gamma, z) == pytest.approx(
+        ginibre_moment_exact(n, int(gamma) // 2, z), abs=4e-10
+    )
+
+
 # -- Painleve V route --------------------------------------------------------
 
 def test_pv_route_matches_exact_and_toeplitz():
