@@ -4,9 +4,9 @@
 Columns are (name, N, exact_log, asym_log, ratio) so the output feeds
 external plotting directly.  The rows are the verification suite's
 convergence trends (``charpoly.verify.TRENDS``: the interior, boundary,
-two-charge, truncated-CUE edge, exterior and multi-charge bulk expansions,
-each against the reference route of its ``EXPANSIONS`` entry), plus the
-three lemniscate regimes at d = 2.
+two-charge, truncated-CUE edge, exterior, multi-charge bulk and multi-charge
+edge expansions, each against the reference route of its ``EXPANSIONS``
+entry), plus the three lemniscate regimes at d = 2.
 
 Usage:
     python scripts/convergence_tables.py [--out tables.csv]

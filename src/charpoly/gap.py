@@ -21,6 +21,8 @@ from scipy import integrate as _integrate
 from scipy import special as _sp
 from scipy.linalg import lapack as _lapack
 
+from .specfun import log_gamma_ratio
+
 __all__ = [
     "GUE",
     "LUE",
@@ -29,7 +31,6 @@ __all__ = [
     "log_norm_constant",
     "gap_cdf",
     "log_gap_cdf",
-    "lue_tail",
     "log_lue_tail",
     "gap_oracle",
 ]
@@ -80,6 +81,10 @@ def log_norm_constant(e: GapEnsemble) -> float:
     LUE: prod_{j=0}^{k-1} Gamma(alpha+j+1) Gamma(j+2)
     JUE: prod_{j=0}^{k-1} Gamma(alpha+j+1) Gamma(beta+j+1) Gamma(j+2)
                           / Gamma(alpha+beta+k+j+1)
+
+    The JUE factor of the larger parameter enters as one ratio with the
+    denominator (``specfun.log_gamma_ratio``): summed separately, two terms
+    of size 6.6e4 at beta = 8192 put 1e-11 of rounding into ln C.
     """
     g, a, j = _sp.gammaln, getattr(e, "alpha", 0.0), range(e.k)
     if isinstance(e, GUE):
@@ -87,8 +92,9 @@ def log_norm_constant(e: GapEnsemble) -> float:
     if isinstance(e, LUE):
         return float(sum(g(a + i + 1) + g(i + 2) for i in j))
     if isinstance(e, JUE):
-        return float(sum(g(a + i + 1) + g(e.beta + i + 1) + g(i + 2) - g(a + e.beta + e.k + i + 1)
-                         for i in j))
+        lo, hi = sorted((a, e.beta))
+        return float(sum(g(lo + i + 1) + g(i + 2)
+                         + log_gamma_ratio(hi + i + 1, a + e.beta + e.k + i + 1) for i in j))
     raise TypeError(f"unknown ensemble {e!r}")
 
 
@@ -136,6 +142,13 @@ def _drop(k: int) -> float:
     """ln w falls this far at every cut: an exponential tail past it keeps
     ~D^{2k-2} e^{-D} / ((k-1)!)^2 < 1e-17 of the degree k-1 polynomial's norm."""
     return 36.0 + 6.0 * k
+
+
+def _rising_window(k: int, a0: float, slope: float):
+    """(a, b, width) in v <= 0 for a log-weight a0 v + g(v) with g nondecreasing,
+    so that every column peaks at v = 0 and falls by >= a0 |v| below it; panels
+    are at most 1 and 3/``slope`` wide, slope being column k-1's f'(0)."""
+    return -_drop(k) / a0, 0.0, min(1.0, 3.0 / slope)
 
 
 def _log_lue(e: LUE, x: float, tail: bool) -> float:
@@ -212,13 +225,6 @@ def log_lue_tail(k: int, alpha: float, x: float) -> float:
     ``_log_gram_det`` on [x, inf)."""
     e = LUE(k, alpha)
     return 0.0 if x <= 0.0 else _log_lue(e, x, tail=True)
-
-
-def lue_tail(k: int, alpha: float, x: float) -> float:
-    """P(lambda_min > x); returns 1 for x < 0."""
-    if x < 0.0:
-        return 1.0
-    return math.exp(min(log_lue_tail(k, alpha, x), 0.0))
 
 
 def _weight_and_domain(e: GapEnsemble):

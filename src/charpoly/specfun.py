@@ -1,5 +1,5 @@
-"""Scalar special functions: Barnes G, the upper incomplete gamma in log
-form, and the complementary error function.
+"""Scalar special functions: Barnes G, ratios of Gamma functions and the
+upper incomplete gamma in log form, and the complementary error function.
 
 Everything ensemble-sized is exposed in log form so that constants remain
 finite for matrix orders up to ~10^3.
@@ -12,6 +12,7 @@ from scipy import special as _sp
 
 __all__ = [
     "log_barnes_g",
+    "log_gamma_ratio",
     "erfc",
     "erfc_complex",
 ]
@@ -61,6 +62,35 @@ def log_barnes_g(x: float) -> float:
         out += c / p
         p *= w2
     return float(out + shift)
+
+
+# Stirling coefficients B_{2n}/(2n(2n-1)) for n = 1..6
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+             -691.0 / 360360.0)
+
+
+def _stirling_tail(x: float) -> float:
+    """ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi)/2; truncation < 1e-19 at x >= 20."""
+    x2, p, out = x * x, x, 0.0
+    for c in _STIRLING:
+        out += c / p
+        p *= x2
+    return out
+
+
+def log_gamma_ratio(a: float, b: float) -> float:
+    """ln[Gamma(a) / Gamma(b)] for a, b > 0, as one ratio where both are >= 20:
+    with d = b - a, -(a - 1/2) log1p(d/a) - d (ln b - 1) plus the Stirling
+    tails, so that two ln Gamma terms of size a ln a do not round separately
+    (a > b takes the reciprocal, where log1p is well conditioned); scipy
+    ``gammaln`` below 20."""
+    if min(a, b) < 20.0:
+        return float(_sp.gammaln(a) - _sp.gammaln(b))
+    if a > b:
+        return -log_gamma_ratio(b, a)
+    d = b - a
+    return (-(a - 0.5) * math.log1p(d / a) - d * (math.log(b) - 1.0)
+            + _stirling_tail(a) - _stirling_tail(b))
 
 
 def _log_upper_gamma_cf(a: float, x: float) -> float:

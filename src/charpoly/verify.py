@@ -127,10 +127,7 @@ def moment_routes(ensemble: str, n: int, gamma: float, z: complex, m=None, tol=1
         ]
     if m is None:
         raise ValueError("--m is required for the truncated CUE")
-    exact = [
-        ("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate())),
-        ("exact-jue-factored", lambda: dual.tcue_moment_factored(m, n, k, abs(z))),
-    ]
+    exact = [("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate()))]
     return (exact if k else []) + [("gram", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z))]
 
 
@@ -146,12 +143,14 @@ def first_route(routes):
     raise ValueError("every route refused (" + "; ".join(reasons) + ")")
 
 
-def _pair_correlator(p, k1, k2):
-    """Charges 2 k1, 2 k2 at z + u1/sqrt(N), z + u2/sqrt(N) by the finite-N correlator."""
+def _pair_correlator(p, k1, k2, step=1.0):
+    """Charges 2 k1, 2 k2 at z + step u1/sqrt(N), z + step u2/sqrt(N) by the
+    finite-N correlator."""
     rn = math.sqrt(p.n)
     return "correlator", dual.correlator_finiteN(
         dual.GinibreWeight(p.n),
-        ChargeConfiguration((p.z + p.u1 / rn, p.z + p.u2 / rn), (2.0 * k1, 2.0 * k2)),
+        ChargeConfiguration((p.z + step * p.u1 / rn, p.z + step * p.u2 / rn),
+                            (2.0 * k1, 2.0 * k2)),
     )
 
 
@@ -178,6 +177,9 @@ EXPANSIONS = {
     "bulk-multi": (
         lambda p: asym.bulk_multi(p.n, p.z, asym.EdgeVectors((p.u1, p.u2), (p.u1, p.u2))),
         lambda p: _pair_correlator(p, 1.0, 1.0)),
+    "edge-multi": (
+        lambda p: asym.edge_multi(p.n, p.z, asym.EdgeVectors((p.u1, p.u2), (p.u1, p.u2))),
+        lambda p: _pair_correlator(p, 1.0, 1.0, -1.0 / complex(p.z).conjugate())),
     "tcue-edge": (lambda p: asym.tcue_edge(p.n, p.kappa, int(p.k) or 1, p.u1), _tcue_edge_moment),
 }
 
@@ -264,7 +266,7 @@ def check_painleve_iv(level: str, seed: int):
 
 
 def check_painleve_v(level: str, seed: int):
-    """PV residual of sigma data extracted from lue_tail(1, 4)."""
+    """PV residual of sigma data extracted from log_lue_tail(1, 4)."""
     ts = np.linspace(0.2, 8.0, 25 if level == "full" else 9)
     fam = pain.PV(1.0, 4.0)
     worst = 0.0
@@ -328,8 +330,9 @@ def check_noninteger_routes(level: str, seed: int):
 
 def check_tcue(level: str, seed: int):
     """Truncated-CUE Monte Carlo vs the Andreief route, the
-    C_{2,1,1} = 1/2 constant, the two internal exact routes, and the Gram
-    route on |z| = 1 vs the Morris product (``log_tcue_r_gamma_one``)."""
+    C_{2,1,1} = 1/2 constant, the Andreief route vs the polynomial-kernel
+    correlator, and the Gram route on |z| = 1 vs the Morris product
+    (``log_tcue_r_gamma_one``)."""
     samples = 200_000 if level == "full" else 20_000
     exact = dual.tcue_moment_exact(8, 6, 1, 0.5, 0.5)
     est = mc_moment(
@@ -340,9 +343,10 @@ def check_tcue(level: str, seed: int):
         TruncatedCUE(2, 1), ChargeConfiguration((0.0,), (2.0,)), samples, seed=seed + 1
     )
     out.append(_result("c08_mc_c211", est2.sigmas(math.log(0.5)), 3.0, "E|T_11|^2 = 1/2"))
-    a = dual.tcue_moment_exact(6, 4, 2, 0.5, 0.5, check_factored=False)
-    b = dual.tcue_moment_factored(6, 4, 2, 0.5)
-    out.append(_result("c08_internal_routes", abs(a - b), 1e-10))
+    a = dual.tcue_moment_exact(6, 4, 2, 0.5, 0.5)
+    b = dual.correlator_finiteN(dual.TruncatedCUEWeight(6, 4),
+                                ChargeConfiguration((0.5,), (4.0,)))
+    out.append(_result("c08_exact_vs_correlator", abs(a - b), 1e-10))
     worst = max(
         abs(dual.tcue_moment_toeplitz(m, n, g, cmath.exp(0.7j))
             - dual.log_tcue_r_gamma_one(m, n, g))
@@ -424,6 +428,7 @@ TRENDS = (
     ("tcue-edge", (40, 160, 640), {"k": 1.0, "kappa": 2.0, "u1": 1.0}),
     ("exterior", (50, 200, 800), {"k": 1.0, "z": 1.5}),
     ("bulk-multi", (8, 32, 128), {"z": 0.0, "u1": 0.3, "u2": 1.1}),
+    ("edge-multi", (32, 128, 512), {"z": 1.0, "u1": 0.3, "u2": 1.1}),
 )
 
 

@@ -102,8 +102,18 @@ def test_tcue_exact(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    routes = {r["route"] for r in doc["outputs"]}
-    assert "exact-jue-factored" in routes and "gram" in routes
+    assert [r["route"] for r in doc["outputs"]] == ["exact", "gram"]
+    assert doc["checks"][0]["passed"]
+
+
+def test_tcue_exact_at_large_n_outside_the_disc(capsys):
+    # the scipy-quad Hankel once overflowed here and printed a traceback
+    code = main(["exact", "--ensemble", "tcue", "--m", "802", "--n", "800", "--k", "1",
+                 "--z", "2.5"])
+    out, err = capsys.readouterr()
+    assert code == 0 and "Traceback" not in err
+    records = json.loads(out)["outputs"]
+    assert records[0]["route"] == "exact" and math.isfinite(records[0]["log_value"])
 
 
 def test_asym_report(capsys):
@@ -124,6 +134,7 @@ _ASYM_ARGV = {
     "exterior": ["--k", "1", "--z", "1.5"],
     "two-charge": ["--k", "2", "--k2", "1", "--z", "0.2"],
     "bulk-multi": ["--z", "0.2", "--u1", "0.3", "--u2", "1.1"],
+    "edge-multi": ["--z", "1.0", "--u1", "0.3", "--u2", "1.1"],
     "tcue-edge": ["--kappa", "2", "--u1", "1"],
 }
 
@@ -234,8 +245,7 @@ def test_reference_records_name_their_route(capsys, argv, route):
     "argv, skipped",
     [
         (["--n", "40", "--k", "1", "--z", "0.5"], {"pv"}),
-        (["--ensemble", "tcue", "--n", "3", "--m", "5", "--k", "1", "--z", "1.5"],
-         {"exact-jue-factored"}),
+        (["--ensemble", "tcue", "--n", "3", "--m", "5", "--k", "1", "--z", "1.5"], set()),
     ],
     ids=["ginibre-n40", "tcue-outside-disc"],
 )
@@ -282,7 +292,7 @@ def test_exact_agreement_over_returned_routes(capsys):
         "--z", "0.5",
     )
     doc = json.loads(out)
-    assert code == 0 and len(doc["outputs"]) == 3
+    assert code == 0 and len(doc["outputs"]) == 2
     assert [c["name"] for c in doc["checks"]] == ["route_agreement"]
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -22,7 +23,6 @@ from charpoly.dualities import (
     log_tcue_r_gamma_one,
     log_z_ginibre,
     tcue_moment_exact,
-    tcue_moment_factored,
     tcue_moment_toeplitz,
 )
 from charpoly.ensembles import ChargeConfiguration
@@ -178,7 +178,7 @@ def test_exact_route_at_large_n_z2_vs_gram(n, k, z):
 @pytest.mark.parametrize("n, gamma, z", [(200, 10.0, 0.81), (800, 12.0, 0.81)])
 def test_gram_refuses_large_even_gamma_where_round_off_grows(n, gamma, z):
     # the route once returned values 1.3e-6 and 0.98 off ginibre_moment_exact
-    # here, and 1.7e-7 and 1.5e-4 off tcue_moment_factored for the tCUE
+    # here, and 1.7e-7 and 1.5e-4 off the JUE-factored exact route for the tCUE
     with pytest.raises(ValueError, match="envelope"):
         ginibre_moment_toeplitz(n, gamma, z)
     with pytest.raises(ValueError, match="envelope"):
@@ -227,18 +227,33 @@ def test_tcue_exact_vs_planar_oracle(planar_moment_tcue):
     assert abs(math.expm1(got - oracle)) < 1e-6
 
 
-def test_tcue_internal_routes_agree():
-    a = tcue_moment_exact(6, 4, 2, 0.5, 0.5, check_factored=False)
-    b = tcue_moment_factored(6, 4, 2, 0.5)
-    assert abs(a - b) < 1e-10
+def _mp_tcue_moment(m, n, k, absz, dps=None):
+    """ln k! det[int_0^1 t^{kappa+i+j} (1 + (q-1)t)^N dt] - ln C^JUE_{kappa+N,0}
+    in mpmath, q = |z|^2, the moments as binomial sums (positive terms at q >= 1;
+    at q < 1 they alternate and cancel up to 2^N, hence the digits)."""
+    with mpmath.workdps(dps or 80 + int(0.31 * n)):
+        kap, c = m - n, mpmath.mpf(absz) ** 2 - 1
+        mom = [mpmath.fsum(mpmath.binomial(n, l) * c**l / (kap + s + l + 1) for l in range(n + 1))
+               for s in range(2 * k - 1)]
+        hankel = mpmath.matrix([[mom[i + j] for j in range(k)] for i in range(k)])
+        lg = mpmath.loggamma
+        log_c = mpmath.fsum(lg(m + j + 1) + lg(j + 1) + lg(j + 2) - lg(m + k + j + 1)
+                            for j in range(k))
+        return float(lg(k + 1) + mpmath.log(mpmath.det(hankel)) - log_c)
 
 
-def test_tcue_scaling_covariance_of_jue_route():
-    # the t -> t/(1-|z|^2) change of variables behind the factored form
-    for m, n, k, z in ((5, 3, 1, 0.3), (7, 4, 2, 0.6)):
-        a = tcue_moment_exact(m, n, k, z, z, check_factored=False)
-        b = tcue_moment_factored(m, n, k, z)
-        assert a == pytest.approx(b, abs=1e-10)
+@pytest.mark.parametrize("m, n, k, absz", [(64, 8, 3, 0.9), (66, 64, 3, 2.5), (802, 800, 3, 1.5),
+                                           (802, 800, 4, 1.3), (802, 800, 1, 2.5)])
+def test_tcue_exact_matches_mpmath_hankel(m, n, k, absz):
+    # the scipy-quad Hankel once read 2.9e-10, 1.4e-9, 5.8e-6 and 0.10 off
+    # here, and overflowed at (802, 800, 1, 2.5)
+    assert abs(tcue_moment_exact(m, n, k, absz, absz) - _mp_tcue_moment(m, n, k, absz)) <= 5e-12
+
+
+@pytest.mark.parametrize("x, y", [(0.5, -0.5), (0.5j, 0.5), (0.3 + 0.1j, 0.3 + 0.1j)])
+def test_tcue_exact_refuses_a_non_real_or_negative_xy(x, y):
+    with pytest.raises(ValueError, match="real xy >= 0"):
+        tcue_moment_exact(6, 4, 1, x, y)
 
 
 def test_tcue_toeplitz_matches_exact():
@@ -249,9 +264,8 @@ def test_tcue_toeplitz_matches_exact():
 
 @pytest.mark.parametrize("r", [0.9452036735324122, 0.9455147446881843, 0.9498331999657055])
 def test_tcue_factored_cross_check_accepts_a_correct_value_near_the_edge(r):
-    # exact_sweep's tcue_64_8_k2 inputs at benchmark seeds 201, 12 and 51:
-    # the 1e-10 JUE-factored cross-check holds only if the factored gap
-    # determinant is as accurate as the integral route here
+    # exact_sweep's tcue_64_8_k2 inputs at benchmark seeds 201, 12 and 51,
+    # where the JUE-factored gap determinant once lost digits
     assert tcue_moment_exact(64, 8, 2, r, r) == pytest.approx(
         tcue_moment_toeplitz(64, 8, 4.0, r), abs=1e-10
     )
@@ -421,10 +435,11 @@ def test_correlator_induced_noninteger_vs_planar_oracle():
 
 
 def test_correlator_tcue_weight_matches_jue_duality():
-    got = correlator_finiteN(
-        TruncatedCUEWeight(5, 3), ChargeConfiguration((0.4,), (2.0,))
-    )
-    assert got == pytest.approx(tcue_moment_exact(5, 3, 1, 0.4, 0.4), abs=1e-10)
+    for m, n, k, z in ((5, 3, 1, 0.4), (6, 4, 2, 0.5), (5, 3, 1, 0.3), (7, 4, 2, 0.6)):
+        got = correlator_finiteN(
+            TruncatedCUEWeight(m, n), ChargeConfiguration((z,), (2.0 * k,))
+        )
+        assert got == pytest.approx(tcue_moment_exact(m, n, k, z, z), abs=1e-10)
 
 
 def test_c_lemniscate_reconciliation():
@@ -476,7 +491,6 @@ def test_fuzz_cross_routes():
         n = int(rng.integers(1, m))
         k = int(rng.integers(1, 3))
         z = float(rng.uniform(0.0, 0.97))
-        # the factored-route assertion inside tcue_moment_exact also fires
         assert tcue_moment_exact(m, n, k, z, z) == pytest.approx(
             tcue_moment_toeplitz(m, n, 2.0 * k, z), abs=1e-9
         )

@@ -15,7 +15,6 @@ from charpoly.gap import (
     log_gap_cdf,
     log_lue_tail,
     log_norm_constant,
-    lue_tail,
 )
 
 
@@ -28,6 +27,18 @@ def test_norm_constants_closed_forms():
     assert log_norm_constant(GUE(2)) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("k, a, b", [(1, 1, 8192), (2, 3, 8192), (3, 802, 0), (4, 802, 0),
+                                     (2, 580, 20), (12, 20, 0), (4, 2, 800)])
+def test_jue_norm_constant_matches_mpmath(k, a, b):
+    # summed term by term, ln Gamma(8193) and ln Gamma(8195) rounded separately
+    # left 1e-11 in ln C at (1, 1, 8192)
+    with mpmath.workdps(50):
+        lg = mpmath.loggamma
+        want = float(mpmath.fsum(lg(a + j + 1) + lg(b + j + 1) + lg(j + 2) - lg(a + b + k + j + 1)
+                                 for j in range(k)))
+    assert abs(log_norm_constant(JUE(k, float(a), float(b))) - want) <= 1e-14 * abs(want)
+
+
 def test_gap_cdf_scalar_cases():
     assert gap_cdf(GUE(1), 0.0) == pytest.approx(0.5, rel=1e-13)
     for x in (0.2, 1.3, 4.0):
@@ -37,9 +48,9 @@ def test_gap_cdf_scalar_cases():
 
 def test_lue_tail_scalar_cases():
     for x in (0.0, 0.7, 3.0):
-        assert lue_tail(1, 0.0, x) == pytest.approx(math.exp(-x), rel=1e-12)
-    assert lue_tail(3, 2.0, 0.0) == 1.0
-    assert lue_tail(2, 1.5, -0.5) == 1.0
+        assert math.exp(log_lue_tail(1, 0.0, x)) == pytest.approx(math.exp(-x), rel=1e-12)
+    assert math.exp(log_lue_tail(3, 2.0, 0.0)) == 1.0
+    assert math.exp(log_lue_tail(2, 1.5, -0.5)) == 1.0
 
 
 def test_clamping_flags():
@@ -64,7 +75,7 @@ def test_andreief_vs_oracle(ens, grid):
 
 def test_lue_tail_vs_oracle():
     for x in (0.4, 1.2, 3.0):
-        det_route = lue_tail(2, 3.0, x)
+        det_route = math.exp(log_lue_tail(2, 3.0, x))
         quad_route = gap_oracle(LUE(2, 3.0), x, tail=True)
         assert det_route == pytest.approx(quad_route, abs=1e-8)
 
@@ -88,7 +99,8 @@ def test_gue_cdf_monotone(x, dx):
 @settings(max_examples=40, deadline=None)
 def test_lue_cdf_monotone_and_tail_antitone(x, dx):
     assert gap_cdf(LUE(2, 1.0), x + dx) >= gap_cdf(LUE(2, 1.0), x) - 1e-13
-    assert lue_tail(2, 1.0, x + dx) <= lue_tail(2, 1.0, x) + 1e-13
+    tail = lambda t: math.exp(log_lue_tail(2, 1.0, t))
+    assert tail(x + dx) <= tail(x) + 1e-13
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.0, 0.5))

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from scipy import integrate
 
-from charpoly.specfun import _log_upper_gamma_cf, erfc, erfc_complex, log_barnes_g
+from charpoly.specfun import _log_upper_gamma_cf, erfc, erfc_complex, log_barnes_g, log_gamma_ratio
 
 
 def test_barnes_g_integers():
@@ -74,3 +74,11 @@ def test_erfc_complex_matches_mpmath():
         want = complex(mpmath.erfc(mpmath.mpc(z)))
         got = erfc_complex(z)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(3.0, 5.0), (19.99, 30.0), (20.0, 20.5), (803.0, 806.0),
+                                  (8193.0, 8195.0), (8195.0, 20.0), (1e5, 1e5 + 3.0)])
+def test_log_gamma_ratio_matches_mpmath(a, b):
+    with mpmath.workdps(50):
+        want = float(mpmath.loggamma(a) - mpmath.loggamma(b))
+    assert abs(log_gamma_ratio(a, b) - want) <= 1e-15 * max(1.0, abs(want))
