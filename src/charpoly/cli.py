@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -319,7 +320,10 @@ def main(argv=None) -> int:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left; keep the exit code, not a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _EXIT_OK if report.passed else _EXIT_CHECK_FAILED
 
 

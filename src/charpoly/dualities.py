@@ -280,7 +280,7 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex, tol: float = 1e-7) -> fl
     ln R(0) + N|z|^2 gamma/2 + int_0^{N|z|^2} sigma(t)/t dt.
 
     The solve is seeded by ``sigma_data`` at t_ref = max(0.75, N|z|^2/2)
-    with step 4e-3 max(1, t_ref).  Integer k = gamma/2 differences the exact
+    with its default PV step.  Integer k = gamma/2 differences the exact
     smallest-eigenvalue tail ln P(lambda_min > t) of LUE(k, N); other gamma
     difference the Gram route, ln R(sqrt(t/N)) - ln R(0) - gamma t/2.  The
     transport to the target is pure ODE work.
@@ -302,7 +302,7 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex, tol: float = 1e-7) -> fl
     else:
         def logp(t):  # the Gram moment over its z = 0 value and e^{gamma t/2}
             return _log_gram_det(GinibreWeight(n), gamma, (t / n) ** 0.5) - base + half_k * (x - t)
-    init = _painleve.sigma_data(fam, logp, t_ref, 4e-3 * max(1.0, t_ref))
+    init = _painleve.sigma_data(fam, logp, t_ref)
     lo = min(x, t_ref)
     hi = max(x, t_ref)
     pad = 1e-3 * lo

@@ -18,9 +18,14 @@ matches 1/(Gamma(k) sqrt(2 pi)) only at k = 1: the tail is launched at t = 8
 in leading-order form, and the amplitude is 1.2% off at k = 1.5 and 7.8% off
 at k = -0.5.  The bisection runs on a float DOP853 kernel, and on scipy's
 bare stepper only within 1e-13 of the kernel's root; only the accepted
-trajectory is solved with dense output (a cold shoot: 1.7-1.9 s).  The
-solution is cached per order, so a warm ``piv_f`` costs one Gauss-Legendre
-quadrature of its dense output.
+trajectory is solved with dense output (a cold shoot: 1.0-1.3 s on a 2-core
+host).  The scipy replay is load-bearing: the kernel's own root sits 0-15
+ulps from scipy's (k = -0.5 to 3), and the dense solve from it ends at
+t = -7.85 (k = 1) to -5.89 (k = 3), not -14, so a kernel-only bisection
+loses the trajectory at k = 3.  The solution is cached per order, so a warm
+``piv_f`` costs one Gauss-Legendre quadrature of one dense call.  Each
+solution segment is read as arrays: its nodes, residuals and transport
+integrals come from one dense call each.
 """
 
 import math
@@ -123,20 +128,39 @@ def heqn_params(gamma: float, kappa: float, n: float) -> tuple:
 # sigma-form left-hand sides, residuals, sigma'' roots, implicit sigma'''
 # ---------------------------------------------------------------------------
 
-def sigma_form_lhs(f: SigmaFamily, t, s, sp, spp):
+_DOMAIN = {PIV: (-math.inf, math.inf), PV: (0.0, math.inf), PVI: (0.0, 1.0)}
+
+
+def _check_domain(f: SigmaFamily, *ts: float) -> None:
+    """ValueError unless every t lies in the family's open domain, where its
+    sigma-form is regular: PIV the real line, PV (0, inf), PVI (0, 1)."""
+    a, b = _DOMAIN[type(f)]
+    if not all(a < t < b for t in ts):
+        raise ValueError(f"{type(f).__name__} sigma-form needs t in ({a}, {b}), got {ts}")
+
+
+def _sigma_quadratic(f: SigmaFamily, t, s, sp):
+    """(c, d, scale): at (t, s, s') the sigma-form reads c sigma''^2 = d, and
+    a d/c below -1e-9 scale is a negative discriminant, not round-off."""
     if isinstance(f, PIV):
-        return spp**2 + 4 * sp**2 * (sp + f.k) - (t * sp - s) ** 2
+        u = t * sp - s
+        return 1.0, u**2 - 4 * sp**2 * (sp + f.k), 1.0 + u**2
     if isinstance(f, PV):
         k, a = f.k, f.alpha
         A = s - t * sp + 2 * sp**2 + (2 * k + a) * sp
-        return (t * spp) ** 2 - A**2 + 4 * sp**2 * (sp + k + a) * (sp + k)
+        return t * t, A**2 - 4 * sp**2 * (sp + k + a) * (sp + k), 1.0 + (A / t) ** 2
     if isinstance(f, PVI):
         b1, b2, b3, b4 = f.b
         P = t * (1.0 - t)
         C = sp * (2 * s + (1 - 2 * t) * sp) + b1 * b2 * b3 * b4
         prod = (sp - b1**2) * (sp - b2**2) * (sp - b3**2) * (sp - b4**2)
-        return sp * (P * spp) ** 2 - C**2 + prod
+        return sp * P * P, C**2 - prod, 1.0 + abs(C / P) ** 2
     raise TypeError(f"unknown family {f!r}")
+
+
+def sigma_form_lhs(f: SigmaFamily, t, s, sp, spp):
+    c, d, _ = _sigma_quadratic(f, t, s, sp)
+    return c * spp**2 - d
 
 
 def heqn_lhs(btilde: tuple, t, h, hp, hpp):
@@ -149,45 +173,28 @@ def heqn_lhs(btilde: tuple, t, h, hp, hpp):
     return hp * (P * hpp) ** 2 + C**2 - prod
 
 
+def _residual(f: SigmaFamily, t, s, sp, spp):
+    return abs(sigma_form_lhs(f, t, s, sp, spp)) / (1.0 + s * s + (t * sp) ** 2)
+
+
 def residual(f: SigmaFamily, t, s, sp, spp) -> float:
     """Scale-normalized sigma-form residual |LHS| / (1 + |s|^2 + |t s'|^2)."""
-    _check_regular(f, t)
-    return float(abs(sigma_form_lhs(f, t, s, sp, spp)) / (1.0 + s * s + (t * sp) ** 2))
-
-
-def _check_regular(f: SigmaFamily, t: float) -> None:
-    if isinstance(f, PV) and t == 0.0:
-        raise ValueError("PV sigma-form is singular at t = 0")
-    if isinstance(f, PVI) and t in (0.0, 1.0):
-        raise ValueError("PVI sigma-form is singular at t in {0, 1}")
+    _check_domain(f, t)
+    return float(_residual(f, t, s, sp, spp))
 
 
 def sigma_pp_roots(f: SigmaFamily, t, s, sp):
     """The two sigma'' roots of the sigma-form at (t, s, s').
 
-    A discriminant below -1e-9 (relative) raises BranchError; small
-    negatives clamp to the double root.
+    A discriminant below -1e-9 (relative), or a vanishing sigma''^2
+    coefficient (PVI at sigma' = 0), raises BranchError; small negatives
+    clamp to the double root.
     """
-    _check_regular(f, t)
-    if isinstance(f, PIV):
-        d = (t * sp - s) ** 2 - 4 * sp**2 * (sp + f.k)
-        scale = 1.0 + (t * sp - s) ** 2
-    elif isinstance(f, PV):
-        k, a = f.k, f.alpha
-        A = s - t * sp + 2 * sp**2 + (2 * k + a) * sp
-        d = (A**2 - 4 * sp**2 * (sp + k + a) * (sp + k)) / (t * t)
-        scale = 1.0 + (A / t) ** 2
-    elif isinstance(f, PVI):
-        b1, b2, b3, b4 = f.b
-        P = t * (1.0 - t)
-        C = sp * (2 * s + (1 - 2 * t) * sp) + b1 * b2 * b3 * b4
-        prod = (sp - b1**2) * (sp - b2**2) * (sp - b3**2) * (sp - b4**2)
-        if sp == 0.0:
-            raise BranchError(f"PVI sigma'' undefined where sigma' = 0 (t={t})")
-        d = (C**2 - prod) / (sp * P * P)
-        scale = 1.0 + abs(C / P) ** 2
-    else:
-        raise TypeError(f"unknown family {f!r}")
+    _check_domain(f, t)
+    c, d, scale = _sigma_quadratic(f, t, s, sp)
+    if c == 0:
+        raise BranchError(f"{type(f).__name__} sigma'' undefined at t={t}, sigma'={sp}")
+    d = d / c
     if d < -1e-9 * scale:
         raise BranchError(
             f"negative sigma'' discriminant {d:.3e} at t={t} (branch degeneracy)"
@@ -216,10 +223,8 @@ def sigma_ppp(f: SigmaFamily, t, s, sp, spp):
         P = t * (1.0 - t)
         Pp = 1.0 - 2.0 * t
         C = sp * (2 * s + Pp * sp) + b1 * b2 * b3 * b4
-        bb = (b1**2, b2**2, b3**2, b4**2)
-        s1 = sum(
-            np.prod([sp - bb[j] for j in range(4) if j != i]) for i in range(4)
-        )
+        d1, d2, d3, d4 = sp - b1**2, sp - b2**2, sp - b3**2, sp - b4**2
+        s1 = d2 * d3 * d4 + d1 * d3 * d4 + d1 * d2 * d4 + d1 * d2 * d3
         num = 4 * C * (s + Pp * sp) - s1 - (P * spp) ** 2 - 2 * sp * P * Pp * spp
         return num / (2 * sp * P * P)
     raise TypeError(f"unknown family {f!r}")
@@ -273,20 +278,23 @@ def _require_int(k: float, what: str) -> int:
 
 
 def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
-               h: float) -> SigmaInit:
+               h: Optional[float] = None) -> SigmaInit:
     """Initial data (t0, sigma, sigma', sigma'' hint) from Richardson
     differences of step h on logp = ln F, the probability the family
     transports (``transport_integrand`` is d ln F/dt):
     PIV sigma = (ln F)';  PV sigma = t (ln F)';
     PVI sigma = t(1-t) (ln F)' + b1 b2 t - (b1 b2 + b3 b4)/2.
-    The sigma'' hint selects the root branch.  Refuses t0 outside the
-    family's domain and an F that is identically 1 at t0 (ValueError), and
-    an F that underflows there (FloatingPointError).
+    The default step h is 4e-3 max(1, |t0|) for PIV, the same capped at
+    t0/4.5 for PV, and 4e-3 min(t0, 1 - t0) for PVI.  The sigma'' hint
+    selects the root branch.  Refuses t0 outside the family's domain and an
+    F that is identically 1 at t0 (ValueError), and an F that underflows
+    there (FloatingPointError).
     """
-    if isinstance(f, PV) and t0 <= 0:
-        raise ValueError("PV sigma data needs t0 > 0")
-    if isinstance(f, PVI) and not 0.0 < t0 < 1.0:
-        raise ValueError("PVI sigma data needs t0 in (0, 1)")
+    _check_domain(f, t0)
+    if h is None:
+        h = 4e-3 * (min(t0, 1.0 - t0) if isinstance(f, PVI) else max(1.0, abs(t0)))
+        if isinstance(f, PV):
+            h = min(h, t0 / 4.5)
     L0, L1, L2, L3 = log_derivatives(logp, t0, h)
     if L0 < math.log(1e-300):
         raise FloatingPointError(f"probability underflows at t0={t0} (log P = {L0:.1f})")
@@ -321,17 +329,11 @@ def gap_ensemble(f: SigmaFamily):
     raise TypeError(f"unknown family {f!r}")
 
 
-def init_from_gap(f: SigmaFamily, t0: float, h: Optional[float] = None) -> SigmaInit:
+def init_from_gap(f: SigmaFamily, t0: float) -> SigmaInit:
     """``sigma_data`` at t0 from the largest-eigenvalue CDF of
-    ``gap_ensemble(f)``.  The default step h is 4e-3 max(1, |t0|) for PIV,
-    the same capped at t0/4.5 for PV, and 4e-3 min(t0, 1 - t0) for PVI.
-    """
+    ``gap_ensemble(f)``."""
     ens = gap_ensemble(f)
-    if h is None:
-        h = 4e-3 * (min(t0, 1.0 - t0) if isinstance(f, PVI) else max(1.0, abs(t0)))
-        if isinstance(f, PV):
-            h = min(h, t0 / 4.5)
-    return sigma_data(f, lambda x: _gap.log_gap_cdf(ens, x), t0, h)
+    return sigma_data(f, lambda x: _gap.log_gap_cdf(ens, x), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +357,16 @@ class _Segment:
         self.lo = float(self.nodes[0])
         self.hi = float(self.nodes[-1])
         self.quad_base = 0.0
-        cum = np.zeros(self.nodes.size)
-        for i in range(self.nodes.size - 1):
-            cum[i + 1] = cum[i] + self._gl(self.nodes[i], self.nodes[i + 1])
-        self._cum = cum
+        self._cum = np.cumsum([0.0, *self._gl(self.nodes[:-1], self.nodes[1:])])
 
-    def _gl(self, a: float, b: float) -> float:
-        if a == b:
-            return 0.0
+    def _gl(self, a: np.ndarray, b: np.ndarray) -> list:
+        """Gauss-Legendre integrals over each [a_i, b_i], from one dense call."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ts = mid + half * _GL_NODES
-        vals = [transport_integrand(self.family, t, self.dense(t)[0]) for t in ts]
-        return half * float(np.dot(_GL_WEIGHTS, vals))
+        ts = mid[:, None] + half[:, None] * _GL_NODES
+        vals = transport_integrand(self.family, ts, self.dense(ts.ravel())[0].reshape(ts.shape))
+        # each row as a fresh list: np.dot on row views can round differently
+        return [h * float(np.dot(_GL_WEIGHTS, v.tolist())) if h else 0.0
+                for h, v in zip(half, vals)]
 
     def contains(self, t: float) -> bool:
         return self.lo - 1e-12 <= t <= self.hi + 1e-12
@@ -379,7 +379,7 @@ class _Segment:
         t = float(np.clip(t, self.lo, self.hi))
         i = int(np.searchsorted(self.nodes, t, side="right") - 1)
         i = min(max(i, 0), self.nodes.size - 2)
-        return self.quad_base + self._cum[i] + self._gl(self.nodes[i], t)
+        return self.quad_base + self._cum[i] + self._gl(self.nodes[i:i + 1], np.array([t]))[0]
 
 
 @dataclass
@@ -394,20 +394,20 @@ class SigmaSolution:
     _anchor: Optional[tuple] = field(repr=False, default=None)  # (t, logF)
     _piv_tail: Optional[tuple] = field(repr=False, default=None)  # (a, T1, k)
 
-    def state(self, t: float):
-        """(sigma, sigma', sigma'') at t (within the covered span)."""
+    def _segment(self, t: float) -> _Segment:
         for seg in self._segments:
             if seg.contains(t):
-                return seg.state(t)
-        raise ValueError(f"t={t} outside solved span "
+                return seg
+        raise ValueError(f"t={t} outside the solved span "
                          f"[{self.grid[0]}, {self.grid[-1]}]")
+
+    def state(self, t: float):
+        """(sigma, sigma', sigma'') at t (within the covered span)."""
+        return self._segment(t).state(t)
 
     def quad(self, t: float) -> float:
         """Transport integral of the family integrand, common origin."""
-        for seg in self._segments:
-            if seg.contains(t):
-                return seg.quad(t)
-        raise ValueError(f"t={t} outside solved span")
+        return self._segment(t).quad(t)
 
 
 def _ode_rhs(f: SigmaFamily):
@@ -461,7 +461,7 @@ def solve_span(
     out in both directions."""
     if lo >= hi:
         raise ValueError("need lo < hi")
-    _domain_guard(f, lo, hi)
+    _check_domain(f, lo, hi)
     t0 = init.t0
     if not lo <= t0 <= hi:
         raise ValueError("initial point must lie inside [lo, hi]")
@@ -480,33 +480,18 @@ def solve_span(
     return _check_residual(_assemble(f, segments, anchor, nfev), tol)
 
 
-def _domain_guard(f, lo, hi):
-    if isinstance(f, PV) and lo <= 0.0 <= hi:
-        raise ValueError("PV solve span must not touch t = 0")
-    if isinstance(f, PVI) and (lo <= 0.0 or hi >= 1.0):
-        raise ValueError("PVI solve span must stay inside (0, 1)")
-
-
 def _assemble(f, segments, anchor, nfev) -> SigmaSolution:
-    ts, ss, sps = [], [], []
-    max_res = 0.0
-    for seg in segments:
-        for t in seg.nodes:
-            s, sp, spp = seg.state(t)
-            ts.append(t)
-            ss.append(s)
-            sps.append(sp)
-            max_res = max(max_res, residual(f, t, s, sp, spp))
+    ts = np.concatenate([seg.nodes for seg in segments])
+    s, sp, spp = np.concatenate([seg.dense(seg.nodes) for seg in segments], axis=1)
     order = np.argsort(ts)
-    grid = np.asarray(ts)[order]
+    grid = ts[order]
     keep = np.concatenate([[True], np.diff(grid) > 0.0])  # strictly ascending
-    grid = grid[keep]
     return SigmaSolution(
         family=f,
-        grid=grid,
-        sigma=np.asarray(ss)[order][keep],
-        sigma_prime=np.asarray(sps)[order][keep],
-        max_residual=max_res,
+        grid=grid[keep],
+        sigma=s[order][keep],
+        sigma_prime=sp[order][keep],
+        max_residual=float(np.max(_residual(f, ts, s, sp, spp))),
         nfev=nfev,
         _segments=segments,
         _anchor=anchor,
@@ -675,7 +660,7 @@ def piv_solution(k: float) -> SigmaSolution:
     if k == 0.0:
         grid = np.linspace(Tdet, T1, 9)
         zero = np.zeros_like(grid)
-        seg = _Segment(PIV(0.0), lambda t: np.zeros(3), grid)
+        seg = _Segment(PIV(0.0), lambda t: np.zeros((3, *np.shape(t))), grid)
         return SigmaSolution(
             PIV(0.0), grid, zero, zero.copy(), 0.0,
             _segments=[seg],
@@ -758,7 +743,8 @@ def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
 
 def F_from_sigma(f: SigmaFamily, sol: SigmaSolution, x: float) -> float:
     """The transported probability at x: exp of the anchored integral of the
-    family integrand along the solution."""
+    family integrand along the solution.  An x outside the solved span
+    raises ValueError."""
     if sol._piv_tail is not None:
         a, T1, k = sol._piv_tail
         if x >= T1:
@@ -766,10 +752,6 @@ def F_from_sigma(f: SigmaFamily, sol: SigmaSolution, x: float) -> float:
     if sol._anchor is None:
         raise ValueError("solution carries no probability anchor")
     ta, logfa = sol._anchor
-    if not sol.grid[0] - 1e-9 <= x <= sol.grid[-1] + 1e-9:
-        raise ValueError(
-            f"x={x} outside the solved span [{sol.grid[0]}, {sol.grid[-1]}]"
-        )
     return math.exp(logfa + sol.quad(x) - sol.quad(ta))
 
 

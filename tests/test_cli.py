@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -362,3 +365,18 @@ def test_painleve_route_is_labelled_by_family(capsys, family, extra, route):
     ode = doc["outputs"][0]
     assert ode["route"] == route
     assert ode["nfev"] > 0 and ode["max_residual"] <= 1e-7
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the reader is gone before the report is written: no BrokenPipeError
+    # traceback, and the report's own exit code
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(charpoly.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "charpoly.cli", "gap", "--ensemble", "gue", "--k", "2", "--x", "0.5"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+    )
+    os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0

@@ -60,6 +60,8 @@ def test_residual_singular_points_rejected():
     with pytest.raises(ValueError):
         residual(PV(1.0, 2.0), 0.0, 0.1, 0.1, 0.1)
     with pytest.raises(ValueError):
+        residual(PV(1.0, 2.0), -1.0, 0.1, 0.1, 0.1)  # PV lives on t > 0
+    with pytest.raises(ValueError):
         residual(PVI((1.0, 1.0, 0.5, 0.5)), 1.0, 0.1, 0.1, 0.1)
 
 
@@ -262,6 +264,29 @@ def test_init_residual_gate():
 def test_sigma_pp_roots_branch_error():
     with pytest.raises(BranchError):
         sigma_pp_roots(PIV(1.0), 0.0, 0.0, 1.0)  # disc = -4 < 0
+    with pytest.raises(BranchError):
+        sigma_pp_roots(pvi_from_jue(1.0, 1.0, 2.0), 0.4, 0.3, 0.0)  # sigma''^2 drops out
+
+
+@pytest.mark.parametrize("fam, lo, hi", [
+    (PIV(1.3), -5.0, 5.0),
+    (PV(1.0, 2.0), 0.1, 10.0),
+    (pvi_from_jue(1.0, 1.0, 2.0), 0.05, 0.95),
+], ids=["PIV", "PV", "PVI"])
+def test_sigma_form_vanishes_at_both_roots(fam, lo, hi):
+    rng = np.random.default_rng(19)
+    checked = 0
+    for _ in range(200):
+        t, (s, sp) = rng.uniform(lo, hi), rng.normal(size=2) * 2.0
+        try:
+            roots = sigma_pp_roots(fam, t, s, sp)
+        except BranchError:
+            continue
+        size = 1.0 + abs(sigma_form_lhs(fam, t, s, sp, 0.0))
+        for r in roots:
+            assert abs(sigma_form_lhs(fam, t, s, sp, r)) <= 1e-12 * size
+        checked += 1
+    assert checked >= 40
 
 
 def test_solve_domain_guards():
@@ -269,6 +294,8 @@ def test_solve_domain_guards():
     init = init_from_gap(fam, 1.0)
     with pytest.raises(ValueError):
         solve_span(fam, init, -1.0, 2.0)
+    with pytest.raises(ValueError):  # a PV span wholly on t < 0
+        solve_span(fam, SigmaInit(-1.5, 0.1, 0.1, 0.1), -2.0, -1.0)
     fam6 = pvi_from_jue(1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         solve_span(fam6, init_from_gap(fam6, 0.5), 0.1, 1.2)
