@@ -49,6 +49,10 @@ __all__ = [
 class GinibreWeight:
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("GinibreWeight requires n >= 1")
+
 
 @dataclass(frozen=True)
 class InducedGinibre:
@@ -56,6 +60,8 @@ class InducedGinibre:
     gamma1: float
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("InducedGinibre requires n >= 1")
         if self.gamma1 < 0:
             raise ValueError("InducedGinibre requires gamma1 >= 0")
 
@@ -66,8 +72,8 @@ class TruncatedCUEWeight:
     n: int
 
     def __post_init__(self):
-        if self.n >= self.m:
-            raise ValueError("TruncatedCUEWeight requires n < m")
+        if not 1 <= self.n < self.m:
+            raise ValueError("TruncatedCUEWeight requires 1 <= n < m")
 
 
 RadialWeightSpec = GinibreWeight | InducedGinibre | TruncatedCUEWeight
@@ -118,8 +124,8 @@ def ginibre_moment_exact(n: int, k: int, z: complex) -> float:
     (200, 4, 1.2 and 1.4), (64, 4, 1.23), (200, 5, 0.81) and (64, 8, 1.3), and
     within 1.3e-10 of the Gram route (``ginibre_moment_toeplitz``) there at k <= 4.
     """
-    if k < 1:
-        raise ValueError("ginibre_moment_exact requires k >= 1")
+    if n < 1 or k < 1:
+        raise ValueError("ginibre_moment_exact requires n >= 1 and k >= 1")
     az2 = abs(complex(z)) ** 2
     return float(
         -n * k * math.log(n)
@@ -285,8 +291,8 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex, tol: float = 1e-7) -> fl
     difference the Gram route, ln R(sqrt(t/N)) - ln R(0) - gamma t/2.  The
     transport to the target is pure ODE work.
     """
-    if gamma <= -2:
-        raise ValueError("requires gamma > -2")
+    if n < 1 or gamma <= -2:
+        raise ValueError("requires n >= 1 and gamma > -2")
     if gamma == 0.0:
         return 0.0
     x = n * abs(complex(z)) ** 2
@@ -325,8 +331,8 @@ def tcue_moment_exact(m: int, n: int, k: int, x: complex, y: complex) -> float:
     Hankel itself in v = ln t, where every column rises to v = 0.  Within
     5e-12 of 80-digit mpmath Hankels for M <= 802, N <= 800, k <= 4, |z| <= 3.
     """
-    if n >= m:
-        raise ValueError("requires n < m")
+    if not 1 <= n < m:
+        raise ValueError("requires 1 <= n < m")
     if k < 1:
         raise ValueError("requires k >= 1")
     q = complex(x) * complex(y)

@@ -3,22 +3,13 @@ estimation of E prod_i |det(A - z_i)|^{gamma_i}.
 
 Randomness comes from counter-based Philox streams keyed by (seed, chunk),
 so results are bit-identical for a given seed no matter how many worker
-threads evaluate the chunks.
+threads evaluate the chunks.  Each chunk is one standard complex Gaussian
+draw of at most _BLOCK entries (4 MB complex) and at most _CHUNK samples:
+every real part, then every imaginary part (_complex_normal).
 
-Truncated-CUE samples QR only the first N of the M drawn Gaussian columns
-(Mezzadri, arXiv:math-ph/0609050), O(M N^2) not O(M^3).  The full M x M
-Gaussian is still drawn, one block at a time, so every fixed-seed estimate
-stays the full-QR one; drawing only M x N would save ~0.4 s per benchmark
-Monte Carlo pass.
-
-Memory.  A chunk of count samples, each drawn as a rows x rows Gaussian
-(rows = N for Ginibre, M for the truncated CUE) of which the first n columns
-are kept, holds 8 * count * rows * n bytes of kept real parts plus one block
-of at most _BLOCK drawn entries (1 MB complex), per worker.  The real parts
-cannot be streamed: a chunk's stream holds every real part before every
-imaginary part, and the ziggurat sampler takes a variable number of words
-per normal, so the imaginary parts' start is known only once every real part
-has been drawn.
+A truncated-CUE sample draws only an M x N Gaussian: the Q of its thin QR
+holds the first N columns of a Haar U(M) (Mezzadri, arXiv:math-ph/0609050),
+in O(M N^2) work, not O(M^3).
 """
 
 import math
@@ -43,7 +34,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096
-_BLOCK = 1 << 16  # drawn Gaussian entries formed at a time: 1 MB complex
+_BLOCK = 1 << 18  # Gaussian entries drawn per chunk at most: 4 MB complex
 
 
 @dataclass(frozen=True)
@@ -136,22 +127,21 @@ def _rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, chunk]))
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussians (real and imaginary parts N(0, 1)) from one
+    draw: every real part, then every imaginary part."""
+    g = rng.standard_normal((2, *shape))
+    a = np.empty(shape, dtype=np.complex128)
+    a.real = g[0]
+    a.imag = g[1]
+    return a
+
+
 def sample_haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     """Haar U(m) via QR of a standard complex Gaussian matrix, with each
     column multiplied by the phase of the matching diagonal entry of R (the
     canonical positive-diagonal normalization)."""
-    return _sample_haar_batch(m, 1, rng)[0]
-
-
-def _sample_haar_batch(
-    m: int, count: int, rng: np.random.Generator, n: int | None = None
-) -> np.ndarray:
-    """First n (default m) columns of count Haar U(m) samples.  The whole
-    (count, m, m) Gaussian is drawn, so the stream does not depend on n."""
-    a = np.empty((count, m, n or m), dtype=np.complex128)
-    for part in (a.real, a.imag):
-        part[...] = rng.standard_normal((count, m, m))[:, :, :n]
-    return _haar_columns(a)
+    return _haar_columns(_complex_normal(rng, (m, m)))
 
 
 def _haar_columns(a: np.ndarray) -> np.ndarray:
@@ -161,43 +151,28 @@ def _haar_columns(a: np.ndarray) -> np.ndarray:
     unitary."""
     q, r = np.linalg.qr(a)
     d = np.einsum("...ii->...i", r)
-    q *= (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[..., None, :]
     return q
 
 
-def _sample_blocks(spec: EnsembleSpec, count: int, rng: np.random.Generator):
-    """Yield (i, a): samples i .. i + len(a) - 1 of count, in stream order,
-    in blocks of at most _BLOCK drawn entries (or one sample, if larger).
-    Each a is overwritten by the next block: change it, do not keep it.
-
-    Every sample is a rows x rows standard Gaussian draw of which the first
-    spec.n columns are kept; the stream is the one of a (count, rows, rows)
-    draw of all real parts followed by one of all imaginary parts.  Ginibre
-    scales both parts by 1/sqrt(2N) (E|entry|^2 = 1/N); a truncated-CUE
-    sample is the top N x N corner of _haar_columns."""
+def _rows(spec: EnsembleSpec) -> int:
+    """Rows of one sample's Gaussian draw: N for Ginibre, M for the tCUE."""
     if isinstance(spec, Ginibre):
-        rows, scale = spec.n, 1.0 / math.sqrt(2.0 * spec.n)
-    elif isinstance(spec, TruncatedCUE):
-        rows, scale = spec.m, 1.0  # QR needs no scale; 1.0 keeps the draw exact
-    else:
-        raise TypeError(f"unknown ensemble spec {spec!r}")
-    n = spec.n
-    size = max(1, min(count, _BLOCK // (rows * rows)))
-    starts = range(0, count, size)
-    draw = np.empty((size, rows, rows))
-    real = np.empty((count, rows, n))
-    for i in starts:
-        d = draw[: min(size, count - i)]
-        rng.standard_normal(out=d)
-        np.multiply(d[:, :, :n], scale, out=real[i : i + len(d)])
-    block = np.empty((size, rows, n), dtype=np.complex128)
-    for i in starts:
-        d = draw[: min(size, count - i)]
-        rng.standard_normal(out=d)
-        a = block[: len(d)]
-        a.real = real[i : i + len(d)]
-        np.multiply(d[:, :, :n], scale, out=a.imag)
-        yield i, (_haar_columns(a)[:, :n] if rows > n else a)
+        return spec.n
+    if isinstance(spec, TruncatedCUE):
+        return spec.m
+    raise TypeError(f"unknown ensemble spec {spec!r}")
+
+
+def _sample_chunk(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count N x N samples from one Gaussian draw of shape (count, rows, N).
+    Ginibre scales it by 1/sqrt(2N) (E|entry|^2 = 1/N); a truncated-CUE
+    sample is the top N x N corner of _haar_columns."""
+    a = _complex_normal(rng, (count, _rows(spec), spec.n))
+    if isinstance(spec, TruncatedCUE):
+        return _haar_columns(a)[:, : spec.n]
+    a *= 1.0 / math.sqrt(2.0 * spec.n)
+    return a
 
 
 def worker_count() -> int:
@@ -237,17 +212,10 @@ def mc_moment(
 
     ``log_shift`` defaults to the leading exponential term of the matching
     asymptotic expansion so the shifted samples stay O(1) at large N.
-    Deterministic for a given (seed, n_samples, spec, charges): samples are
-    drawn in fixed-size chunks with per-chunk Philox streams and reduced in
-    chunk order, independent of the worker count.
-
-    Memory per worker: one chunk's kept real parts, 8 * count * rows * N
-    bytes (count <= _CHUNK, rows = N for Ginibre and M for the truncated
-    CUE), plus one block of at most _BLOCK drawn entries (1 MB complex).
-    The real parts are held whole because the stream puts every real part
-    before every imaginary part, and the ziggurat sampler's words per normal
-    vary, so where the imaginary parts start is known only after the last
-    real part is drawn.
+    Deterministic for a given (seed, n_samples, spec, charges): each chunk
+    of min(_CHUNK, _BLOCK // (rows N)) samples is one Gaussian draw from its
+    own Philox stream, and chunks are reduced in chunk order, independent of
+    the worker count.
     """
     if n_samples < 2:
         raise ValueError("mc_moment requires n_samples >= 2")
@@ -256,20 +224,21 @@ def mc_moment(
     if charges.m == 0:
         return MCEstimate(0.0, 1.0, 0.0, n_samples, seed)
 
-    def run_chunk(c: int) -> tuple[float, float, int]:
-        cnt = min(_CHUNK, n_samples - c * _CHUNK)
-        s = np.zeros(cnt)
-        for i, a in _sample_blocks(spec, cnt, _rng(seed, c)):
-            # the block is this call's own: shift its diagonal in place
-            diag = np.einsum("...ii->...i", a)
-            d0 = diag.copy()
-            for z, g in zip(charges.points, charges.exponents):
-                np.subtract(d0, z, out=diag)
-                s[i : i + len(a)] += g * logdet_batch(a)
-        vals = np.exp(s - log_shift)
-        return float(vals.sum()), float((vals * vals).sum()), cnt
+    size = max(1, min(_CHUNK, _BLOCK // (_rows(spec) * spec.n)))
 
-    n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
+    def run_chunk(c: int) -> tuple[float, float]:
+        a = _sample_chunk(spec, min(size, n_samples - c * size), _rng(seed, c))
+        # the chunk is this call's own: shift its diagonal in place
+        diag = np.einsum("...ii->...i", a)
+        d0 = diag.copy()
+        s = np.zeros(len(a))
+        for z, g in zip(charges.points, charges.exponents):
+            np.subtract(d0, z, out=diag)
+            s += g * logdet_batch(a)
+        vals = np.exp(s - log_shift)
+        return float(vals.sum()), float((vals * vals).sum())
+
+    n_chunks = (n_samples + size - 1) // size
     workers = min(worker_count(), n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

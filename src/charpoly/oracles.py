@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .ensembles import ChargeConfiguration, _rng, _sample_haar_batch
+from .ensembles import ChargeConfiguration, _complex_normal, _haar_columns, _rng
 
 __all__ = [
     "planar_moment_ginibre",
@@ -141,7 +141,7 @@ def haar_mc_hciz(u, v, n_samples: int, seed: int):
     vals = []
     for c in range(n_chunks):
         cnt = min(chunk, n_samples - c * chunk)
-        uu = _sample_haar_batch(k, cnt, _rng(seed, c))
+        uu = _haar_columns(_complex_normal(_rng(seed, c), (cnt, k, k)))
         # Tr(U A U^dag Bbar) = sum_{a,b} u_a vbar_b |U_{b,a}|^2
         absq = np.abs(uu) ** 2
         tr = np.einsum("a,b,cba->c", u, vbar, absq)

@@ -228,6 +228,24 @@ def test_gap_oracle_beyond_k3_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--n", "0", "--k", "1"],
+        ["mc", "--n", "0", "--k", "1"],
+        ["exact", "--ensemble", "tcue", "--m", "3", "--n", "0", "--k", "1"],
+    ],
+    ids=["exact-ginibre", "mc-ginibre", "exact-tcue"],
+)
+def test_empty_matrix_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "argv, route",
     [
         (["mc", "--n", "3", "--k", "1", "--z", "0.5", "--samples", "500"], "exact"),

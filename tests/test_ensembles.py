@@ -10,23 +10,16 @@ from charpoly.ensembles import (
     Ginibre,
     MCEstimate,
     TruncatedCUE,
+    _BLOCK,
     _CHUNK,
+    _complex_normal,
+    _haar_columns,
     _rng,
-    _sample_blocks,
-    _sample_haar_batch,
+    _sample_chunk,
     mc_moment,
     sample_haar_unitary,
 )
 from charpoly.linalg import logdet_batch
-
-
-def _sample_batch(spec, count, rng):
-    """The count samples of one chunk, gathered from the blocks of the
-    sampler under test."""
-    out = np.empty((count, spec.n, spec.n), dtype=np.complex128)
-    for i, a in _sample_blocks(spec, count, rng):
-        out[i : i + len(a)] = a
-    return out
 
 
 def test_charge_configuration_validation():
@@ -46,7 +39,7 @@ def test_spec_validation():
 
 
 def test_ginibre_entry_statistics():
-    draws = np.stack([_sample_batch(Ginibre(4), 1, _rng(1, i))[0] for i in range(4000)])
+    draws = np.stack([_sample_chunk(Ginibre(4), 1, _rng(1, i))[0] for i in range(4000)])
     second = np.abs(draws) ** 2
     # E|entry|^2 = 1/N with stderr ~ (1/N)/sqrt(count)
     mean = second.mean()
@@ -59,7 +52,7 @@ def test_ginibre_entry_statistics():
 def test_circular_law_spectral_radius():
     radii = []
     for i in range(12):
-        ev = np.linalg.eigvals(_sample_batch(Ginibre(200), 1, _rng(2, i))[0])
+        ev = np.linalg.eigvals(_sample_chunk(Ginibre(200), 1, _rng(2, i))[0])
         radii.append(np.abs(ev).max())
     assert 0.9 < float(np.mean(radii)) < 1.15
 
@@ -76,14 +69,14 @@ def test_haar_unitarity_and_trace_moment():
 
 def test_truncation_subunitary():
     for i in range(200):
-        t = _sample_batch(TruncatedCUE(4, 2), 1, _rng(5, i))[0]
+        t = _sample_chunk(TruncatedCUE(4, 2), 1, _rng(5, i))[0]
         assert np.linalg.norm(t, 2) <= 1.0 + 1e-8
         assert np.max(np.abs(np.linalg.eigvals(t))) < 1.0
 
 
 def test_truncation_second_moment_m2n1():
     vals = [
-        abs(_sample_batch(TruncatedCUE(2, 1), 1, _rng(6, i))[0][0, 0]) ** 2
+        abs(_sample_chunk(TruncatedCUE(2, 1), 1, _rng(6, i))[0][0, 0]) ** 2
         for i in range(20000)
     ]
     mean, stderr = np.mean(vals), np.std(vals) / math.sqrt(len(vals))
@@ -91,9 +84,13 @@ def test_truncation_second_moment_m2n1():
 
 
 def _full_qr_truncation(m, n, count, rng):
-    """The full-QR truncated-CUE sampler: QR of the whole M x M Gaussian,
-    phase fix by R's diagonal, upper-left n x n block."""
-    a = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+    """The full-QR truncated-CUE sampler: the M x N draw, every real part
+    then every imaginary part, padded with M - N independent Gaussian
+    columns; QR of the whole M x M matrix, phase fix by R's diagonal,
+    upper-left n x n block."""
+    g = rng.standard_normal((2, count, m, n))
+    pad = np.random.default_rng([m, n, count]).standard_normal((2, count, m, m - n))
+    a = np.concatenate([g[0] + 1j * g[1], pad[0] + 1j * pad[1]], axis=2)
     q, r = np.linalg.qr(a)
     d = np.einsum("...ii->...i", r)
     return (q * (d / np.abs(d))[:, None, :])[:, :n, :n]
@@ -102,20 +99,20 @@ def _full_qr_truncation(m, n, count, rng):
 @pytest.mark.parametrize("m,n", [(64, 8), (8, 6), (4, 2), (2, 1)])
 def test_truncation_bit_identical_to_full_qr(m, n):
     for s, c in ((1, 0), (2, 3)):
-        got = _sample_batch(TruncatedCUE(m, n), 64, _rng(s, c))
+        got = _sample_chunk(TruncatedCUE(m, n), 64, _rng(s, c))
         assert np.array_equal(got, _full_qr_truncation(m, n, 64, _rng(s, c)))
 
 
 @pytest.mark.parametrize("m,n", [(64, 8), (8, 6), (5, 5), (2, 1)])
 def test_haar_batch_columns_orthonormal(m, n):
-    q = _sample_haar_batch(m, 16, _rng(8, 1), n)
+    q = _haar_columns(_complex_normal(_rng(8, 1), (16, m, n)))
     assert q.shape == (16, m, n)
     gram = np.einsum("sji,sjk->sik", q.conj(), q)
     assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
 
 def _one_shot_chunk(spec, count, rng):
-    """A chunk drawn whole: every real part in one (count, rows, rows) draw,
+    """A chunk drawn whole: every real part in one (count, rows, N) draw,
     then every imaginary part in a second one."""
     if isinstance(spec, TruncatedCUE):
         return _full_qr_truncation(spec.m, spec.n, count, rng)
@@ -130,9 +127,11 @@ def _mc_shifted_reference(spec, charges, n_samples, seed):
     """mc_moment's mean and stderr from whole-chunk draws, with each charge
     applied as a - z*eye."""
     eye = np.eye(spec.n)
+    rows = spec.m if isinstance(spec, TruncatedCUE) else spec.n
+    size = max(1, min(_CHUNK, _BLOCK // (rows * spec.n)))
     total = total_sq = 0.0
-    for c in range((n_samples + _CHUNK - 1) // _CHUNK):
-        a = _one_shot_chunk(spec, min(_CHUNK, n_samples - c * _CHUNK), _rng(seed, c))
+    for c in range((n_samples + size - 1) // size):
+        a = _one_shot_chunk(spec, min(size, n_samples - c * size), _rng(seed, c))
         s = np.zeros(a.shape[0])
         for z, g in zip(charges.points, charges.exponents):
             s += g * logdet_batch(a - z * eye)
@@ -154,25 +153,27 @@ def _mc_shifted_reference(spec, charges, n_samples, seed):
     ],
 )
 def test_mc_multi_charge_matches_shifted_copies(spec, charges):
-    # Ginibre(64): a chunk of 256 blocks, then a chunk of one short block;
-    # tCUE(64, 8): 37 blocks and a short one (its full-QR reference is large)
+    # Ginibre(8): one whole chunk of 4096 and a short one, the stream of
+    # every N <= 8; Ginibre(64): 64 chunks of 64 and a short one;
+    # tCUE(64, 8): a chunk of 512 and a short one (the full-QR reference is large)
     n_samples = {Ginibre(64): _CHUNK + 4, TruncatedCUE(64, 8): 600}.get(spec, 5000)
     est = mc_moment(spec, charges, n_samples, seed=21, log_shift=0.0)
     ref = _mc_shifted_reference(spec, charges, n_samples, 21)
     assert (est.mean_shifted, est.stderr_shifted) == ref
 
 
-def test_mc_chunk_memory_is_its_real_parts_plus_a_block():
-    # a whole complex chunk is 4096 * 32^2 * 16 bytes; its real parts are half
-    n, count = 32, 4096
+def test_mc_chunk_memory_is_a_few_chunks(monkeypatch):
+    # a chunk is at most _BLOCK complex entries (4 MB); drawing the whole
+    # 4096-sample Ginibre(64) batch at once would trace 128 MiB
+    monkeypatch.setenv("CHARPOLY_THREADS", "1")
     cc = ChargeConfiguration((0.5,), (2.0,))
     tracemalloc.start()
     try:
-        mc_moment(Ginibre(n), cc, count, seed=9)
+        mc_moment(Ginibre(64), cc, 4096, seed=9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.6 * count * n * n * 16
+    assert peak <= 16 << 20
 
 
 def test_mc_ess_is_the_weights_effective_sample_size():
@@ -215,10 +216,11 @@ def test_mc_determinism_and_thread_independence(monkeypatch):
     assert a == b  # bit identical regardless of worker count
     c = mc_moment(Ginibre(3), cc, 9000, seed=43)
     assert c != a
-    monkeypatch.setenv("CHARPOLY_THREADS", "1")
-    a = mc_moment(TruncatedCUE(8, 6), cc, 9000, seed=42)
-    monkeypatch.setenv("CHARPOLY_THREADS", "5")
-    assert mc_moment(TruncatedCUE(8, 6), cc, 9000, seed=42) == a
+    for spec, n in ((TruncatedCUE(8, 6), 9000), (Ginibre(64), 4096), (TruncatedCUE(64, 8), 2048)):
+        monkeypatch.setenv("CHARPOLY_THREADS", "1")
+        a = mc_moment(spec, cc, n, seed=42)
+        monkeypatch.setenv("CHARPOLY_THREADS", "5")
+        assert mc_moment(spec, cc, n, seed=42) == a
 
 
 def test_mc_requires_two_samples():
