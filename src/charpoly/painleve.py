@@ -7,22 +7,16 @@ side, so trajectories launched on a root branch stay on it to integrator
 accuracy; branch continuity is then automatic and the conserved residual is
 asserted at every output node.
 
-Launching Painleve IV from its t -> -infinity asymptote -kt - k^2/t is a
-connection problem: the asymptote-consistent solution is a separatrix, and
-forward integration amplifies perturbations like exp(O(t^2)) (a launch at
-t = -10^3 loses everything).  ``piv_solution`` therefore shoots on the
-amplitude of the decaying right tail sigma ~ a t^{2k-2} e^{-t^2/2},
-integrating backward (the stable direction on the evaluation window) and
-bisecting the pole/flat dichotomy at the left.  The bisected amplitude
-matches 1/(Gamma(k) sqrt(2 pi)) only at k = 1: the tail is launched at t = 8
-in leading-order form, and the amplitude is 1.2% off at k = 1.5 and 7.8% off
-at k = -0.5.  The bisection runs on a float DOP853 kernel, and on scipy's
-bare stepper only within 1e-13 of the kernel's root; only the accepted
-trajectory is solved with dense output (a cold shoot: 1.0-1.3 s on a 2-core
-host).  The scipy replay is load-bearing: the kernel's own root sits 0-15
-ulps from scipy's (k = -0.5 to 3), and the dense solve from it ends at
-t = -7.85 (k = 1) to -5.89 (k = 3), not -14, so a kernel-only bisection
-loses the trajectory at k = 3.  The solution is cached per order, so a warm
+Painleve IV with the t -> -infinity asymptote -kt - k^2/t is a connection
+problem: that solution is a separatrix, and integration away from it
+amplifies errors like exp(O(t^2)).  ``piv_solution`` therefore solves it as
+one boundary-value problem on [-16, 8] (``scipy.integrate.solve_bvp``),
+with sigma(-16) from the left series and the two decaying-tail conditions
+at t = 8; a cold solve takes 0.03-0.1 s (1,200-2,400 nodes) for k >= -0.6
+and 0.3-0.55 s down to k = -0.95 with its continuation in k, on a 2-core
+host.  Against the GUE(k) law at k = 1-4, ln F is within 3.2e-10 on
+[-14, 8] and, through the integrated series, at x = -20 (k = 1-3; F
+underflows there at k = 4).  The solution is cached per order, so a warm
 ``piv_f`` costs one Gauss-Legendre quadrature of one dense call.  Each
 solution segment is read as arrays: its nodes, residuals and transport
 integrals come from one dense call each.
@@ -35,6 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate as _integrate
+from scipy import special as _special
 
 from . import gap as _gap
 from .specfun import _log_upper_gamma_cf
@@ -347,17 +342,21 @@ class _Segment:
     """One dense trajectory piece with a cumulative transport integral.
 
     The integral is evaluated after the solve by per-interval Gauss
-    quadrature on the dense output, so it never perturbs the ODE flow.
+    quadrature on the dense output, so it never perturbs the ODE flow.  It
+    is summed from the left end, or from the right one if ``from_hi``, so
+    that it is exact to round-off of its own size near that end.
     """
 
-    def __init__(self, family, dense, nodes):
+    def __init__(self, family, dense, nodes, from_hi=False):
         self.family = family
         self.dense = dense
         self.nodes = np.sort(np.asarray(nodes, dtype=float))
         self.lo = float(self.nodes[0])
         self.hi = float(self.nodes[-1])
         self.quad_base = 0.0
-        self._cum = np.cumsum([0.0, *self._gl(self.nodes[:-1], self.nodes[1:])])
+        parts = self._gl(self.nodes[:-1], self.nodes[1:])
+        self._cum = (-np.cumsum([0.0, *parts[::-1]])[::-1] if from_hi
+                     else np.cumsum([0.0, *parts]))
 
     def _gl(self, a: np.ndarray, b: np.ndarray) -> list:
         """Gauss-Legendre integrals over each [a_i, b_i], from one dense call."""
@@ -392,7 +391,7 @@ class SigmaSolution:
     nfev: int = 0  # ODE right-hand-side evaluations spent building it
     _segments: list = field(repr=False, default_factory=list)
     _anchor: Optional[tuple] = field(repr=False, default=None)  # (t, logF)
-    _piv_tail: Optional[tuple] = field(repr=False, default=None)  # (a, T1, k)
+    _piv_tail: Optional[float] = field(repr=False, default=None)  # PIV tail amplitude
 
     def _segment(self, t: float) -> _Segment:
         for seg in self._segments:
@@ -505,209 +504,106 @@ def _check_residual(sol: SigmaSolution, tol: float) -> SigmaSolution:
 
 
 # ---------------------------------------------------------------------------
-# Painleve IV connection shooting
+# Painleve IV connection problem as one boundary-value solve
 # ---------------------------------------------------------------------------
 
-def _piv_tail_state(k: float, t: float, a: float):
+_PIV_SPAN = (-16.0, 8.0)  # the left series holds left of it, the linear tail right
+_PIV_TOL, _PIV_BC_TOL, _PIV_NODES, _PIV_MAX_NODES = 1e-9, 1e-13, 500, 10_000
+_PIV_CONTINUE = -0.6  # below it the k sigma_1 guess fails; continue in k instead
+
+
+def _piv_tail_g(k: float, t: float):
+    """(g, g'/g, g''/g) of the right tail g = t^{2k-2} e^{-t^2/2}."""
     m = 2.0 * k - 2.0
-    g = t**m * math.exp(-0.5 * t * t)
-    gp = (m / t - t) * g
-    gpp = (m * (m - 1) / (t * t) - (2 * m + 1) + t * t) * g
-    return [a * g, a * gp, a * gpp]
+    return t**m * math.exp(-0.5 * t * t), m / t - t, m * (m - 1) / (t * t) - (2 * m + 1) + t * t
 
 
-_SHOOT_RTOL = 1e-12
+def _piv_left(k: float, x: float):
+    """(sigma(x), int_x^{-16} sigma dt, error of that integral) for x <= -16
+    from the left series sigma = -kt + sum_j c_j t^{-(2j+1)}.
 
-
-def _piv_guard(k, t, y):
-    """Pole guard: non-negative once |sigma| leaves the asymptote's scale."""
-    return abs(y[0]) - 60.0 * (1.0 + abs(k) * abs(t))
-
-
-def _piv_verdict(k, s, guarded, Tdet):
-    """Side of a trajectory ending at sigma = s: by its sign where the guard
-    fired, else by s against the asymptote at Tdet."""
-    if guarded:
-        return 1 if s * math.copysign(1.0, k) > 0 else -1
-    return 1 if s / (-k * Tdet - k * k / Tdet) > 1.0 else -1
-
-
-def _piv_classify(k, a, T1, Tdet):
-    """(side, dense trajectory) of amplitude ``a``, stopped at the guard."""
-    guard = lambda t, y: _piv_guard(k, t, y)
-    guard.terminal = True
-    sol = _integrate.solve_ivp(
-        _ode_rhs(PIV(k)),
-        [T1, Tdet],
-        _piv_tail_state(k, T1, a),
-        method="DOP853",
-        rtol=_SHOOT_RTOL,
-        atol=1e-280,
-        events=guard,
-        dense_output=True,
-    )
-    return _piv_verdict(k, sol.y[0, -1], sol.status == 1, Tdet), sol
-
-
-def _piv_stepper(k, a, T1, Tdet):
-    return _integrate.DOP853(
-        _ode_rhs(PIV(k)), T1, _piv_tail_state(k, T1, a), Tdet,
-        rtol=_SHOOT_RTOL, atol=1e-280,
-    )
-
-
-def _piv_side(k, a, T1, Tdet):
-    """(side, nfev) of amplitude ``a`` as ``_piv_classify`` reports it, from
-    the bare DOP853 stepper: the same steps, the guard tested at each step
-    end as ``solve_ivp`` tests its event, no dense output or root search."""
-    solver = _piv_stepper(k, a, T1, Tdet)
-    guarded = False
-    while solver.status == "running" and not guarded:
-        solver.step()  # a failed step keeps the last accepted state
-        guarded = solver.status != "failed" and _piv_guard(k, solver.t, solver.y) >= 0.0
-    return _piv_verdict(k, solver.y[0], guarded, Tdet), solver.nfev
-
-
-def _compile_dop853_piv_step():
-    """``step(k, t, h, s, s', s'', s''')`` -> the PIV state at t + h, its s'''
-    and scipy's error norm: one DOP853 step on Python floats, with scipy's
-    ``DOP853.A, B, C, E3, E5`` inlined; a_i, b_i, c_i are stage derivatives."""
-    D = _integrate.DOP853
-
-    def comb(w, v):
-        return "(" + " + ".join(f"{float(x)!r} * {v}{j}" for j, x in enumerate(w) if x) + ")"
-
-    lines = ["def step(k, t, h, y0, y1, y2, c0):", "    a0, b0 = y1, y2"]
-    for i in range(1, 13):  # row 12 is the update to t + h
-        w, c = (D.A[i, :i], D.C[i]) if i < 12 else (D.B, 1.0)
-        lines += [f"    x = y0 + h * {comb(w, 'a')}", f"    a{i} = y1 + h * {comb(w, 'b')}",
-                  f"    b{i} = y2 + h * {comb(w, 'c')}", f"    tc = t + {float(c)!r} * h",
-                  f"    c{i} = tc * (tc * a{i} - x) - 6 * a{i}**2 - 4 * k * a{i}"]
-    w = [f"(1e-280 + max(abs({y}), abs({n})) * {_SHOOT_RTOL!r})"
-         for y, n in (("y0", "x"), ("y1", "a12"), ("y2", "b12"))]
-    p5, p3 = (" + ".join(f"({comb(E, v)} / {s})**2" for v, s in zip("abc", w)) for E in (D.E5, D.E3))
-    lines += [f"    p5 = {p5}", f"    p3 = {p3}",
-              "    err = abs(h) * p5 / (3.0 * (p5 + 0.01 * p3)) ** 0.5 if p5 or p3 else 0.0",
-              "    return x, a12, b12, c12, err"]
-    exec("\n".join(lines), scope := {})
-    return scope["step"]
-
-
-_dop853_piv_step = _compile_dop853_piv_step()
-
-
-def _piv_side_kernel(k, a, T1, Tdet):
-    """(side, nfev) of amplitude ``a`` like ``_piv_side``, about 6x faster:
-    ``_dop853_piv_step`` under scipy's step control from scipy's first step.
-    Its sums round differently; its root is within ~6e-15 of scipy's."""
-    solver = _piv_stepper(k, a, T1, Tdet)
-    h_abs, nfev, d, t = float(solver.h_abs), solver.nfev, math.copysign(1.0, Tdet - T1), T1
-    y, guarded = (*map(float, solver.y), float(solver.f[2])), False
-    while t != Tdet and not guarded:
-        min_step = 10.0 * abs(math.nextafter(t, d * math.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:
-            if h_abs < min_step:  # a failed step keeps the last accepted state
-                return _piv_verdict(k, y[0], False, Tdet), nfev
-            t_new = t + h_abs * d if d * (t + h_abs * d - Tdet) <= 0 else Tdet
-            h_abs = abs(t_new - t)
-            *y_new, err = _dop853_piv_step(k, t, t_new - t, *y)
-            nfev += 12
-            if err < 1.0:
-                factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
-        t, y = t_new, y_new
-        guarded = _piv_guard(k, t, y) >= 0.0
-    return _piv_verdict(k, y[0], guarded, Tdet), nfev
-
-
-def _bisect(side, a, stop):
-    """(lo, hi), side(lo) < 0 < side(hi): the tail amplitude bracketed from
-    ``a`` and bisected until ``stop(lo, hi)``; None if it cannot bracket."""
-    lo = hi = None
-    for _ in range(200):
-        if side(a) > 0:
-            hi, a = a, (a / 2 if a > 0 else a * 2)
-        else:
-            lo, a = a, (a * 2 if a > 0 else a / 2)
-        if lo is not None and hi is not None:
+    The c_j come from the recurrence the sigma-form gives (c_0 = -k^2,
+    c_1 = 2k^3, c_2 = -k^2(9k^2 + 1), ...).  The series is summed up to its
+    smallest term at t = -16, or to a term below 1e-17 of kt there; that
+    first term not summed, integrated, is the error estimate."""
+    L, c, prev = _PIV_SPAN[0], [], math.inf
+    while True:
+        j = len(c)
+        v = -2.0 * k * k if j == 0 else (  # the c[j - 2] factor is zero at j = 1
+            (2 * j - 3) * (2 * j - 2) * (2 * j - 1) * c[j - 2] - 8 * k * (2 * j - 1) * c[j - 1]
+            - 6 * sum((2 * i + 1) * (2 * j - 3 - 2 * i) * c[i] * c[j - 2 - i] for i in range(j - 1)))
+        c.append(v / (2 * j + 2))
+        term = abs(c[-1] * L ** -(2 * j + 1))
+        if term >= prev:
+            c.pop()
             break
-    else:
-        return None
-    for _ in range(90):
-        if stop(lo, hi):
+        if term <= 1e-17 * abs(k * L):
             break
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if side(mid) > 0 else (mid, hi)
-    return lo, hi
+        prev = term
+    *c, c_err = c
+
+    def anti(j, t):  # an antiderivative of t^{-(2j+1)}
+        return math.log(-t) if j == 0 else t ** (-2 * j) / (-2 * j)
+
+    sigma = -k * x + sum(cj * x ** -(2 * j + 1) for j, cj in enumerate(c))
+    integral = 0.5 * k * (x * x - L * L) + sum(cj * (anti(j, L) - anti(j, x)) for j, cj in enumerate(c))
+    return sigma, integral, abs(c_err * (anti(len(c), L) - anti(len(c), x)))
+
+
+def _piv_guess(k: float, t: np.ndarray) -> np.ndarray:
+    """k sigma_1(t - sqrt(max(k, 0)) + 1) and its derivatives, where
+    sigma_1 = phi/Phi is the exact k = 1 solution."""
+    s = t - math.sqrt(max(k, 0.0)) + 1.0
+    s1 = np.exp(-0.5 * s * s - _special.log_ndtr(s)) / math.sqrt(2.0 * math.pi)
+    s1p = -s1 * (s + s1)
+    return k * np.array([s1, s1p, -s1p * (s + s1) - s1 * (1.0 + s1p)])
 
 
 @lru_cache(maxsize=64)
 def piv_solution(k: float) -> SigmaSolution:
-    """The PIV solution matching the left asymptote -kt - k^2/t, for real k,
-    cached per order.
+    """The PIV solution matching the left asymptote -kt - k^2/t, for real
+    k > -1, cached per order.
 
-    The numerical trajectory covers [-14, 8]; to the right of 8 F is the
-    closed-form tail.  Accuracy of sigma degrades toward the detection end
-    t = -14 but is maximal on the window where F is read off.  The node
-    residual is in ``max_residual``; ``piv_f`` checks it against its caller's
-    tolerance.
+    One ``solve_bvp`` on [-16, 8] (tol 1e-9, bc_tol 1e-13, from 500 uniform
+    nodes): sigma(-16) from the left series (``_piv_left``), and at t = 8
+    sigma'/sigma and sigma''/sigma of the tail g = t^{2k-2} e^{-t^2/2}.  The
+    guess is ``_piv_guess``; below k = -0.6 it is the cached solution at
+    order min(2k + 1, -0.6) instead, so the steps halve toward -1.  Right
+    of 8, F is the closed-form tail with amplitude a = sigma(8)/g(8).  The
+    amplitude is read where sigma(8) is about 1e-15 (k = 1), so it is good
+    only to about 2e-4 relative (0.39903 against 1/sqrt(2 pi) = 0.39894 at
+    k = 1); it affects F only for x >= 8.  A solve that does not converge
+    raises SolveError (k = 10 and k = -0.99 do not), k <= -1 ValueError.
+    The node residual is in ``max_residual``; ``piv_f`` checks it against
+    its caller's tolerance.
     """
     k = float(k)
-    T1, Tdet = 8.0, -14.0
-    if k == 0.0:
-        grid = np.linspace(Tdet, T1, 9)
-        zero = np.zeros_like(grid)
-        seg = _Segment(PIV(0.0), lambda t: np.zeros((3, *np.shape(t))), grid)
-        return SigmaSolution(
-            PIV(0.0), grid, zero, zero.copy(), 0.0,
-            _segments=[seg],
-            _anchor=(T1, 0.0),
-            _piv_tail=(0.0, T1, 0.0),
-        )
-    # Bisect on the float kernel, check scipy's side 1e-13 |a| either side of
-    # its root, and bisect again from the same start on scipy's sides, known
-    # by monotonicity beyond those two points: the same bracket, bit for bit.
-    a = math.copysign(1.0, k)
-    ga = math.gamma(k) if (k > 0 or k != round(k)) else 1.0
-    if ga != 0 and math.isfinite(ga):
-        a = 1.0 / (ga * math.sqrt(2.0 * math.pi))
-    nfev, known = 0, None  # known: the checked (-1 point, +1 point)
+    if k <= -1.0:
+        raise ValueError(f"PIV connection solution needs k > -1, got {k}")
+    (lo, hi), f = _PIV_SPAN, PIV(k)
+    mesh = np.linspace(lo, hi, _PIV_NODES)
+    guess = (piv_solution(min(2.0 * k + 1.0, _PIV_CONTINUE))._segments[0].dense(mesh)
+             if k < _PIV_CONTINUE else _piv_guess(k, mesh))
+    left = _piv_left(k, lo)[0]
+    g, d1, d2 = _piv_tail_g(k, hi)
+    ode, nfev = _ode_rhs(f), 0
 
-    def side(x, solve=_piv_side):
+    def rhs(t, y):
         nonlocal nfev
-        if known and not min(known) < x < max(known):
-            return 1 if (x - known[0]) * (known[1] - known[0]) > 0 else -1
-        verdict, n = solve(k, x, T1, Tdet)
-        nfev += n
-        return verdict
+        nfev += t.size
+        return np.asarray(ode(t, y))
 
-    est = _bisect(lambda x: side(x, _piv_side_kernel), a,
-                  lambda lo, hi: abs(hi - lo) <= 1e-13 * abs(lo))
-    if est is not None:
-        mid, w = 0.5 * sum(est), math.copysign(1e-13, est[1] - est[0])
-        if side(mid - w * abs(mid)) < 0 < side(mid + w * abs(mid)):
-            known = (mid - w * abs(mid), mid + w * abs(mid))
-    est = _bisect(side, a, lambda lo, hi: 0.5 * (lo + hi) in (lo, hi))
-    if est is None:
-        raise SolveError(f"could not bracket the PIV tail amplitude for k={k}")
-    lo, hi = est
-    sol = None
-    for cand in (0.5 * (lo + hi), lo, hi):
-        _, trial = _piv_classify(k, cand, T1, Tdet)
-        nfev += trial.nfev
-        # accept if the trajectory survives well past the evaluation window
-        if trial.t[-1] <= -11.0:
-            a, sol = cand, trial
-            break
-    if sol is None:
-        raise SolveError(f"PIV connection trajectory lost for k={k}")
-    f = PIV(k)
-    anchor = (T1, _piv_log_tail(k, a, T1))
-    out = _assemble(f, [_Segment(f, sol.sol, sol.t)], anchor, nfev)
-    out._piv_tail = (a, T1, k)
+    def bc(ya, yb):
+        return np.array([ya[0] - left, yb[1] - d1 * yb[0], yb[2] - d2 * yb[0]])
+
+    sol = _integrate.solve_bvp(rhs, bc, mesh, guess, tol=_PIV_TOL, bc_tol=_PIV_BC_TOL,
+                               max_nodes=_PIV_MAX_NODES)
+    if not sol.success:
+        raise SolveError(f"PIV boundary-value solve failed for k={k}: {sol.message}")
+    a = float(sol.y[0, -1]) / g
+    seg = _Segment(f, sol.sol, sol.x, from_hi=True)
+    out = _assemble(f, [seg], (hi, _piv_log_tail(k, a, hi)), nfev)
+    out._piv_tail = a
     return out
 
 
@@ -725,16 +621,25 @@ def _piv_log_tail(k: float, a: float, x: float) -> float:
 
 
 def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
-    """F_k(x) = exp(-int_x^inf sigma_IV) for real k, read from the cached
-    ``piv_solution(k)``; raises SolveError if its node residual exceeds tol.
+    """F_k(x) = exp(-int_x^inf sigma_IV) for real k > -1, read from the
+    cached ``piv_solution(k)``; raises SolveError if its node residual
+    exceeds tol.  Left of -16, ln F is ln F(-16) minus the left series
+    integrated in closed form, and SolveError is raised where that series'
+    error estimate exceeds tol.
 
-    The left tail is good to about 1e-15 absolute, not relative: at k = 1
-    ln F is off by 3e-9 at x = -5, 6.6e-4 at -7, 0.86 at -8 and 44.6 at -12,
-    where F(-12) = 4.2e-14 > F(-9) = 8.5e-16.  Nothing refuses such x yet."""
-    if k == 0.0:
-        return 1.0
-    sol = _check_residual(piv_solution(float(k)), tol)
-    return F_from_sigma(PIV(float(k)), sol, x)
+    At k = 1, 2, 3 and 4, ln F is within 3.2e-10 of the GUE(k) law on
+    [-14, 8], and so it is at x = -20 for k = 1 to 3 (at k = 4 both
+    underflow there).  The node residual is 2e-13 to 1.1e-12 from
+    k = -0.95 to 4."""
+    k, lo = float(k), _PIV_SPAN[0]
+    integral, err = _piv_left(k, x)[1:] if x < lo else (0.0, 0.0)
+    if err > tol:
+        raise SolveError(f"left series error {err:.3e} exceeds tol={tol} at x={x}, k={k}")
+    sol = _check_residual(piv_solution(k), tol)
+    if x >= lo:
+        return F_from_sigma(PIV(k), sol, x)
+    ta, logfa = sol._anchor
+    return math.exp(logfa + sol.quad(lo) - sol.quad(ta) - integral)
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +650,8 @@ def F_from_sigma(f: SigmaFamily, sol: SigmaSolution, x: float) -> float:
     """The transported probability at x: exp of the anchored integral of the
     family integrand along the solution.  An x outside the solved span
     raises ValueError."""
-    if sol._piv_tail is not None:
-        a, T1, k = sol._piv_tail
-        if x >= T1:
-            return math.exp(_piv_log_tail(k, a, x))
+    if sol._piv_tail is not None and x >= _PIV_SPAN[1]:
+        return math.exp(_piv_log_tail(sol.family.k, sol._piv_tail, x))
     if sol._anchor is None:
         raise ValueError("solution carries no probability anchor")
     ta, logfa = sol._anchor

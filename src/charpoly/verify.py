@@ -112,7 +112,7 @@ def _result(name, observed, tolerance, detail=""):
 # the route table shared by the CLI, the scripts and the convergence trends
 # ---------------------------------------------------------------------------
 
-def moment_routes(ensemble: str, n: int, gamma: float, z: complex, m=None, tol=1e-7):
+def moment_routes(ensemble: str, n: int, gamma: float, z: complex, m=None):
     """(label, thunk) pairs for ln E|det(A - z)|^gamma, most trusted first,
     for A Ginibre ("ginibre") or the N x N truncation of Haar U(M) ("tcue").
     The exact dualities are listed only when gamma/2 is a positive integer;
@@ -121,10 +121,7 @@ def moment_routes(ensemble: str, n: int, gamma: float, z: complex, m=None, tol=1
     k = int(half) if half.is_integer() and half >= 1 else None
     if ensemble == "ginibre":
         exact = [("exact", lambda: dual.ginibre_moment_exact(n, k, z))]
-        return (exact if k else []) + [
-            ("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z)),
-            ("pv", lambda: dual.ginibre_moment_pv(n, gamma, z, tol)),
-        ]
+        return (exact if k else []) + [("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z))]
     if m is None:
         raise ValueError("--m is required for the truncated CUE")
     exact = [("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate()))]

@@ -4,25 +4,22 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from charpoly import painleve
 from charpoly.oracles import _charge_factor, _pick_center, _polar_grid
 
 
 @pytest.fixture
 def ode_calls(monkeypatch):
-    """Names of every ``scipy.integrate.solve_ivp`` call, ``DOP853``
-    construction and ``painleve._piv_side`` / ``_piv_side_kernel`` solve made
-    while the test runs, in order."""
+    """Names of every ``scipy.integrate.solve_ivp`` and ``solve_bvp`` call
+    made while the test runs, in order."""
     calls = []
-    for owner, name in ((integrate, "solve_ivp"), (integrate, "DOP853"),
-                        (painleve, "_piv_side"), (painleve, "_piv_side_kernel")):
-        orig = getattr(owner, name)
+    for name in ("solve_ivp", "solve_bvp"):
+        orig = getattr(integrate, name)
 
         def counting(*args, _name=name, _orig=orig, **kwargs):
             calls.append(_name)
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counting)
+        monkeypatch.setattr(integrate, name, counting)
     return calls
 
 

@@ -115,77 +115,86 @@ def test_piv_f_warm_call_makes_no_solve(ode_calls):
     assert ode_calls == []
 
 
-def test_cold_piv_solution_bisects_on_the_bare_stepper(ode_calls):
+def test_cold_piv_solution_is_one_boundary_value_solve(ode_calls):
     sol = piv_solution.__wrapped__(1.0)
-    # the float kernel runs the ~46 estimate solves; scipy's stepper only
-    # checks the estimate and solves the midpoints within 1e-13 of it, and
-    # only the accepted trajectory takes a dense solve_ivp
-    assert 1 <= ode_calls.count("solve_ivp") <= 3
-    assert ode_calls.count("_piv_side") <= 20
-    assert ode_calls.count("_piv_side_kernel") >= 40
-    assert sol.nfev > 100_000  # the bisection's evaluations are counted
+    assert ode_calls == ["solve_bvp"]
+    assert sol.nfev > 0  # right-hand-side evaluations, one per node and call
+    # the tail amplitude is read where sigma(8) ~ 1e-15: 1/sqrt(2 pi) to ~2e-4
+    assert sol._piv_tail == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), rel=5e-4)
 
 
-# tail amplitudes of a bisection on scipy's DOP853 sides alone
-FROZEN_AMPLITUDES = {
-    1.0: "0x1.9884533d48963p-2",
-    2.0: "0x1.9f3731023d0a9p-2",
-    1.37: "0x1.cfcd332d98adep-2",
-    -0.5: "-0x1.a93b031ff513cp-4",
-    1.5: "0x1.d28709a19e5cbp-2",
-    3.0: "0x1.98d8d8568ae81p-3",
-    -0.9: "-0x1.141aaa3908399p-5",
-    1.638973: "0x1.cd108cf0cdfadp-2",
+# ln F_k(x) at x = -2, 0, 2, 4 from the amplitude-shooting construction this
+# solver replaced, where its window was good
+FROZEN_LOG_F = {
+    -0.95: (0.2913736531260156, 0.004962478107245172, 1.728949396812112e-05, 3.991686972986308e-09),
+    -0.9: (0.48888480451336136, 0.01012474651241737, 3.754761854671043e-05, 9.048022734526327e-09),
+    -0.5: (0.8237941412360215, 0.04441184404305433, 0.0002740724947898341, 9.358180370172352e-08),
+    0.3: (-0.8755211453576948, -0.11128513723417657, -0.0018219232556475195, -1.2885254392706464e-06),
+    1.37: (-5.75332694730681, -1.2007627282856532, -0.05425275319178264, -0.00010671012925196848),
+    1.5: (-6.51166808347994, -1.4132666772985871, -0.07042899626357978, -0.00015703612085365067),
+    1.638973: (-7.359297256306654, -1.6602939279115319, -0.09136725165901537, -0.00023286767113002996),
+    2.5: (-13.428637838489824, -3.653176238121801, -0.332062991161619, -0.0018969677722950559),
 }
 
 
-@pytest.mark.parametrize("k", sorted(FROZEN_AMPLITUDES))
-def test_piv_amplitude_is_the_scipy_bisection_root(k):
-    assert piv_solution(k)._piv_tail[0].hex() == FROZEN_AMPLITUDES[k]
+@pytest.mark.parametrize("k", sorted(FROZEN_LOG_F))
+def test_piv_f_keeps_the_shooting_values_on_its_window(k):
+    for x, want in zip((-2.0, 0.0, 2.0, 4.0), FROZEN_LOG_F[k]):
+        assert math.log(piv_f(k, x)) == pytest.approx(want, abs=1e-8)
 
 
-def test_piv_amplitude_falls_back_when_the_estimate_fails_its_check(monkeypatch, ode_calls):
-    kernel = painleve._piv_side_kernel
-    # a kernel whose root sits 1e-9 off scipy's fails the 1e-13 check, so
-    # every midpoint takes a scipy solve and the bracket is unchanged
-    monkeypatch.setattr(painleve, "_piv_side_kernel",
-                        lambda k, a, T1, Tdet: kernel(k, a * (1.0 + 1e-9), T1, Tdet))
-    sol = piv_solution.__wrapped__(1.0)
-    assert ode_calls.count("_piv_side") >= 40
-    assert sol._piv_tail[0].hex() == FROZEN_AMPLITUDES[1.0]
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_piv_f_matches_the_gue_law_into_the_left_tail(k):
+    for x in [*np.arange(-14.0, 8.01, 0.25), -20.0]:
+        ref = log_gap_cdf(GUE(k), float(x))
+        f = piv_f(float(k), float(x))
+        if ref < math.log(5e-324):  # k = 4 at x = -20: both underflow
+            assert f == 0.0
+        else:
+            assert abs(math.log(f) - ref) <= 1e-9, x
 
 
-@pytest.mark.parametrize("k", [1.0, -0.5, 1.37, 3.0, -0.9])
-def test_piv_side_kernel_matches_the_stepper(k):
-    a = piv_solution(k)._piv_tail[0]
-    for m in range(2, 13):
-        for d in (-(10.0**-m), 10.0**-m):
-            x = a * (1.0 + d)
-            assert painleve._piv_side_kernel(k, x, 8.0, -14.0)[0] == painleve._piv_side(k, x, 8.0, -14.0)[0]
+def test_piv_f_is_a_distribution_function_into_the_left_tail():
+    xs = np.linspace(-20.0, 8.0, 113)
+    f = np.array([piv_f(1.5, float(x)) for x in xs])
+    assert np.all((f > 0.0) & (f <= 1.0))
+    assert np.all(np.diff(f) >= 0.0)
+    # at negative order sigma < 0, so F >= 1 and non-increasing
+    f = np.array([piv_f(-0.5, float(x)) for x in xs])
+    assert np.all(f >= 1.0) and np.all(np.isfinite(f))
+    assert np.all(np.diff(f) <= 0.0)
 
 
-def test_bare_stepper_bisection_lands_on_the_event_solve_amplitude(monkeypatch):
-    cached = piv_solution(-0.5)
-    # bisect again with every side taken from the dense, event-driven solve
-    monkeypatch.setattr(
-        painleve, "_piv_side", lambda *args: (painleve._piv_classify(*args)[0], 0)
-    )
-    ref = piv_solution.__wrapped__(-0.5)
-    assert ref._piv_tail == cached._piv_tail
-    assert np.array_equal(ref.grid, cached.grid)
-    assert np.array_equal(ref.sigma, cached.sigma)
+def test_piv_left_series_recurrence_gives_the_known_coefficients():
+    k, x = 1.7, -40.0
+    c = [-k**2, 2 * k**3, -k**2 * (9 * k**2 + 1), 2 * k**3 * (27 * k**2 + 10),
+         -k**2 * (378 * k**4 + 307 * k**2 + 21), 2 * k**3 * (1458 * k**4 + 2140 * k**2 + 483),
+         -k**2 * (24057 * k**6 + 56914 * k**4 + 27954 * k**2 + 1485),
+         2 * k**3 * (104247 * k**6 + 368284 * k**4 + 325038 * k**2 + 56628)]
+    sigma, integral, err = painleve._piv_left(k, x)
+    assert sigma == pytest.approx(-k * x + sum(cj * x ** -(2 * j + 1) for j, cj in enumerate(c)),
+                                  rel=1e-15)
+    assert 0.0 < err < 1e-15
+    assert painleve._piv_left(k, -16.0)[1:] == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("k", [1.0, -0.5, 1.37])
-def test_piv_side_matches_the_event_solve(k):
-    a = piv_solution(k)._piv_tail[0]
-    T1, Tdet = 8.0, -14.0
-    stops = set()
-    for d in (-1e-3, -1e-6, -1e-9, -1e-12, -1e-14, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3):
-        side, sol = painleve._piv_classify(k, a * (1.0 + d), T1, Tdet)
-        assert painleve._piv_side(k, a * (1.0 + d), T1, Tdet)[0] == side
-        stops.add(sol.status)
-    assert stops == {0, 1}  # both guard stops and runs that reach Tdet
+def test_piv_f_refuses_where_the_left_series_error_exceeds_tol():
+    assert 0.0 < piv_f(1.0, -20.0) < 1e-80
+    with pytest.raises(SolveError, match="left series"):
+        piv_f(1.0, -20.0, tol=1e-20)
+
+
+def test_piv_solution_refuses_order_at_or_below_minus_one():
+    for k in (-1.0, -1.5):
+        with pytest.raises(ValueError, match="k > -1"):
+            piv_solution(k)
+        with pytest.raises(ValueError):
+            piv_f(k, 0.0)
+
+
+def test_piv_solve_that_does_not_converge_raises():
+    with pytest.raises(SolveError, match="boundary-value solve failed"):
+        piv_solution.__wrapped__(10.0)
 
 
 @pytest.mark.parametrize("k", [1.0, -0.5])
@@ -197,9 +206,9 @@ def test_piv_f_reads_the_cached_solution(k):
 
 def test_piv_f_residual_gate_applies_to_a_cached_solution():
     assert piv_f(1.0, 0.0, tol=1e-8) == pytest.approx(0.5, abs=1e-9)
-    assert piv_solution(1.0).max_residual > 1e-13
+    assert piv_solution(1.0).max_residual > 3e-14
     with pytest.raises(SolveError, match="node residual"):
-        piv_f(1.0, 0.0, tol=1e-13)
+        piv_f(1.0, 0.0, tol=3e-14)
 
 
 @pytest.mark.parametrize("k", [1, 2])
