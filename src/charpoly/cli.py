@@ -113,18 +113,18 @@ def cmd_gap(args) -> RunReport:
 def cmd_painleve(args) -> RunReport:
     rep = RunReport("painleve", vars_of(args), seed=args.seed)
     if args.family == "p4":
-        fam = pain.PIV(args.k)
+        fam, t0 = pain.PIV(args.k), None  # one boundary-value solve, no seed point
         sol = pain.piv_solution(args.k)
         f = pain.piv_f(args.k, args.x, tol=args.tol)
-    else:  # transport from the gap ensemble's sigma data at t0 across x
-        if args.family == "p5":
-            fam, t0 = pain.PV(args.k, args.alpha), max(1.0, args.x)
-            hi = max(args.x, t0) + 1.0
+    else:  # transport from the gap ensemble's sigma data at t0 to x
+        if args.family == "p5":  # t0 < x, so F is transported, not read at its seed
+            fam, t0 = pain.PV(args.k, args.alpha), 0.5 * args.x
+            lo, hi = t0, args.x
         else:
             fam, t0 = pain.pvi_from_jue(args.k, args.alpha, args.beta), 0.5
-            hi = min(max(args.x, t0) + 0.02, 0.99)
+            lo, hi = min(args.x, t0) * 0.9, min(max(args.x, t0) + 0.02, 0.99)
         init = pain.init_from_gap(fam, t0)
-        sol = pain.solve_span(fam, init, min(args.x, t0) * 0.9, hi, tol=args.tol)
+        sol = pain.solve_span(fam, init, lo, hi, tol=args.tol)
         f = pain.F_from_sigma(fam, sol, args.x)
     try:
         ens = pain.gap_ensemble(fam)
@@ -134,7 +134,7 @@ def cmd_painleve(args) -> RunReport:
     route = {"p4": "piv-ode", "p5": "pv-ode", "p6": "pvi-ode"}[args.family]
     rep.outputs.append(
         _record("F", route, math.log(f) if f > 0 else None,
-                {"value": f, "max_residual": sol.max_residual, "nfev": sol.nfev})
+                {"value": f, "max_residual": sol.max_residual, "nfev": sol.nfev, "t0": t0})
     )
     if ref is not None:
         rep.outputs.append(_record("F", "gap-determinant", math.log(ref) if ref > 0 else None,

@@ -311,7 +311,7 @@ def check_painleve_vi(level: str, seed: int):
 
 def check_noninteger_routes(level: str, seed: int):
     """The Gram route vs planar quadrature at gamma = 1.3, vs Painleve V
-    transport, and vs the LUE-duality route where N|z|^2 is large."""
+    transport at N = 4 to 400, and vs the LUE duality where N|z|^2 is large."""
     o = oracles.planar_moment_ginibre(2, ChargeConfiguration((0.6,), (1.3,)))
     t = dual.ginibre_moment_toeplitz(2, 1.3, 0.6)
     out = [_result("c07_toeplitz_vs_oracle_g1.3", abs(math.expm1(o - t)), 1e-4)]
@@ -319,6 +319,9 @@ def check_noninteger_routes(level: str, seed: int):
         a = dual.ginibre_moment_pv(4, g, 0.6)
         b = dual.ginibre_moment_toeplitz(4, g, 0.6)
         out.append(_result(f"c07_pv_vs_toeplitz_g{g}", abs(a - b), 1e-6))
+    pv = ((64, 4.0, 0.6 * cmath.exp(0.4j)), (64, 1.3, 0.45 * cmath.exp(0.4j)), (400, 2.0, 1.0))
+    worst = max(abs(dual.ginibre_moment_pv(*a) - dual.ginibre_moment_toeplitz(*a)) for a in pv)
+    out.append(_result("c07_pv_vs_gram_large_n", worst, 1e-8, "N|z|^2 up to 400"))
     worst = max(abs(dual.ginibre_moment_toeplitz(n, 2 * k, z) - dual.ginibre_moment_exact(n, k, z))
                 for n, k, z in ((32, 1, 0.8), (32, 2, 1.2), (200, 1, 1.0)))
     out.append(_result("c07_gram_vs_exact", worst, 1e-9, "N|z|^2 up to 200"))

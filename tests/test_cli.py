@@ -396,6 +396,18 @@ def test_painleve_subcommand(capsys):
     assert ode["route"] == "pv-ode" and ode["nfev"] > 0
 
 
+def test_painleve_p5_transports_f_from_below_x(capsys):
+    # seeded at max(1, x) = x, F was the gap determinant itself and the
+    # check observed 0.0
+    code, out = run_cli(capsys, "painleve", "--family", "p5", "--k", "2", "--alpha", "1",
+                        "--x", "3")
+    assert code == 0
+    doc = json.loads(out)
+    ode, det = doc["outputs"]
+    assert ode["t0"] < 3.0 and ode["value"] != det["value"]
+    assert doc["checks"][0]["name"] == "ode_vs_determinant" and doc["checks"][0]["passed"]
+
+
 @pytest.mark.parametrize(
     "family, extra, route",
     [

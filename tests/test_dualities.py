@@ -195,15 +195,31 @@ def test_gram_keeps_even_gamma_inside_its_envelope(n, gamma, z):
 
 # -- Painleve V route --------------------------------------------------------
 
-@pytest.mark.xfail(strict=True, reason="the PV route's seed is differenced from a ln P within "
-                   "round-off of 0, and nothing refuses it")
-@pytest.mark.parametrize("n, gamma, r", [(32, 4.0, 0.6), (64, 4.0, 0.6), (64, 1.3, 0.45)])
-def test_pv_route_matches_gram_where_its_seed_probability_is_near_one(n, gamma, r):
-    # the route reads 2.8e-6, 6.88 and 11.4 off the Gram route here, silently
+@pytest.mark.parametrize("n, gamma, r", [(32, 4.0, 0.6), (64, 4.0, 0.6), (64, 1.3, 0.45),
+                                         (64, 4.0, 1.2), (64, 2.0, 0.6), (16, 1.3, 0.05),
+                                         (400, 2.0, 1.0)])
+def test_pv_route_matches_gram(n, gamma, r):
+    # a transport from t_ref = max(0.75, x/2) read 2.8e-6, 6.88 and 11.4 off
+    # at the first three inputs, refused (64, 2, 0.6) and did not return at
+    # (16, 1.3, 0.05)
     z = r * cmath.exp(0.4j)
     assert ginibre_moment_pv(n, gamma, z) == pytest.approx(
-        ginibre_moment_toeplitz(n, gamma, z), abs=1e-6
+        ginibre_moment_toeplitz(n, gamma, z), abs=1e-8
     )
+
+
+@pytest.mark.parametrize("n, gamma, r, error", [(100, 1.3, 0.45, ValueError),
+                                                (800, 4.0, 1.5, FloatingPointError)])
+def test_pv_route_refuses_outside_the_gram_envelope(n, gamma, r, error):
+    # the Gram route refuses non-even gamma at N > 64; at (800, 4, 1.5) the
+    # seed probability is e^-708
+    with pytest.raises(error):
+        ginibre_moment_pv(n, gamma, r * cmath.exp(0.4j))
+
+
+def test_pv_route_is_one_ode_solve(ode_calls):
+    ginibre_moment_pv(8, 1.3, 0.7)
+    assert ode_calls == ["solve_ivp"]
 
 
 def test_pv_route_matches_exact_and_toeplitz():
