@@ -3,9 +3,18 @@ estimation of E prod_i |det(A - z_i)|^{gamma_i}.
 
 Randomness comes from counter-based Philox streams keyed by (seed, chunk),
 so results are bit-identical for a given seed no matter how many worker
-threads evaluate the chunks.  Each chunk is one standard complex Gaussian
-draw of at most _BLOCK entries (4 MB complex) and at most _CHUNK samples:
-every real part, then every imaginary part (_complex_normal).
+threads evaluate the chunks.  Each chunk draws at most _BLOCK standard
+complex Gaussian entries (4 MB complex) for at most _CHUNK samples: every
+real part, then every imaginary part (_complex_normal).
+
+A Ginibre sample is drawn in upper-Hessenberg form.  Householder
+reflections make a complex Ginibre matrix unitarily similar to an H whose
+entries are independent: N_C(0, 1/N) on and above the diagonal, and
+subdiagonal H[j+1, j] = sqrt(Gamma(N - 1 - j, 1) / N) (Dumitriu and
+Edelman, arXiv:math-ph/0206043, for beta = 2).  H - z has the
+characteristic polynomial of the Ginibre matrix, so one sample draws
+N(N+1)/2 Gaussians and N - 1 gammas, and each charge costs an O(N^2)
+Hessenberg LU (_logdet_hessenberg) instead of a dense one.
 
 A truncated-CUE sample draws only an M x N Gaussian: the Q of its thin QR
 holds the first N columns of a Haar U(M) (Mezzadri, arXiv:math-ph/0609050),
@@ -155,24 +164,88 @@ def _haar_columns(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def _rows(spec: EnsembleSpec) -> int:
-    """Rows of one sample's Gaussian draw: N for Ginibre, M for the tCUE."""
+def _entries(spec: EnsembleSpec) -> int:
+    """Complex Gaussians one sample draws: the packed upper triangle of the
+    Hessenberg model for Ginibre, the M x N block for the tCUE."""
     if isinstance(spec, Ginibre):
-        return spec.n
+        return spec.n * (spec.n + 1) // 2
     if isinstance(spec, TruncatedCUE):
-        return spec.m
+        return spec.m * spec.n
     raise TypeError(f"unknown ensemble spec {spec!r}")
 
 
-def _sample_chunk(spec: EnsembleSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count N x N samples from one Gaussian draw of shape (count, rows, N).
-    Ginibre scales it by 1/sqrt(2N) (E|entry|^2 = 1/N); a truncated-CUE
-    sample is the top N x N corner of _haar_columns."""
-    a = _complex_normal(rng, (count, _rows(spec), spec.n))
+def _sample_chunk(spec: EnsembleSpec, count: int, rng: np.random.Generator):
+    """count samples from one Gaussian draw.
+
+    Ginibre: the Hessenberg model (u, b).  u is each sample's upper
+    triangle packed row by row, from the draw _complex_normal makes for
+    shape (count, N(N+1)/2); b the subdiagonal, from one standard_gamma draw
+    of shape (count, N - 1) after it.  Both are stored with the samples on
+    the last axis, (N(N+1)/2, count) and (N - 1, count), so each column step
+    of _logdet_hessenberg works on contiguous rows.  TruncatedCUE: a stack
+    (count, N, N), the top N x N corner of _haar_columns of one draw of
+    shape (count, M, N).
+    """
+    n = spec.n
     if isinstance(spec, TruncatedCUE):
-        return _haar_columns(a)[:, : spec.n]
-    a *= 1.0 / math.sqrt(2.0 * spec.n)
-    return a
+        return _haar_columns(_complex_normal(rng, (count, spec.m, n)))[:, :n]
+    g = rng.standard_normal((2, count, _entries(spec)))
+    scale = 1.0 / math.sqrt(2.0 * n)
+    u = np.empty(g.shape[:0:-1], dtype=np.complex128)
+    np.multiply(g[0].T, scale, out=u.real)
+    np.multiply(g[1].T, scale, out=u.imag)
+    shape = np.arange(n - 1, 0, -1, dtype=float)
+    b = np.sqrt(rng.standard_gamma(shape, size=(count, n - 1)).T / n)
+    return u, b
+
+
+def _logdet_hessenberg(u: np.ndarray, b: np.ndarray, z: complex) -> np.ndarray:
+    """log|det(H - z)| for each upper-Hessenberg H of a chunk, in the layout
+    of _sample_chunk: u packed rows of the upper triangle (N(N+1)/2, count),
+    b the real subdiagonal (N - 1, count).
+
+    LU with partial pivoting in which only the carried row and row j + 1
+    compete for pivot j, vectorised over the samples: one step per column,
+    O(N^2) per sample.  The row carried to the next column is divided by
+    the pivot's modulus m rather than by the pivot, which changes it by a
+    unit phase only, so |det| is the product of the m.  Singular members
+    read -inf, as in logdet_batch.
+    """
+    n1, count = b.shape
+    piv = np.empty((n1 + 1, count))
+    tmp = np.empty((n1, count), dtype=np.complex128)
+    r = u[: n1 + 1].copy()
+    r[0] -= z
+    off = n1 + 1
+    with np.errstate(divide="ignore"):
+        for j in range(n1):
+            a, c = r[0], b[j]
+            m = np.maximum(c, np.abs(a), out=piv[j])
+            inv = 1.0 / m
+            inv[m == 0.0] = 0.0
+            w = a * inv
+            # row j + 1 of H - z is (c, u row j + 1 - z e_0)
+            r = r[1:]
+            r *= c * inv
+            r -= np.multiply(u[off : off + n1 - j], w, out=tmp[: n1 - j])
+            r[0] += w * z
+            off += n1 - j
+        np.abs(r[0], out=piv[n1])
+        return np.log(piv).sum(axis=0)
+
+
+def _chunk_logdets(spec: EnsembleSpec, draw, points):
+    """Yield log|det(A - z)| over a chunk's samples for each z in points."""
+    if isinstance(spec, Ginibre):
+        for z in points:
+            yield _logdet_hessenberg(*draw, z)
+        return
+    # the tCUE chunk is this call's own: shift its diagonal in place
+    diag = np.einsum("...ii->...i", draw)
+    d0 = diag.copy()
+    for z in points:
+        np.subtract(d0, z, out=diag)
+        yield logdet_batch(draw)
 
 
 def worker_count() -> int:
@@ -213,9 +286,12 @@ def mc_moment(
     ``log_shift`` defaults to the leading exponential term of the matching
     asymptotic expansion so the shifted samples stay O(1) at large N.
     Deterministic for a given (seed, n_samples, spec, charges): each chunk
-    of min(_CHUNK, _BLOCK // (rows N)) samples is one Gaussian draw from its
-    own Philox stream, and chunks are reduced in chunk order, independent of
-    the worker count.
+    of min(_CHUNK, _BLOCK // entries) samples, entries being the complex
+    Gaussians one sample draws (N(N+1)/2 for Ginibre, M N for the tCUE),
+    comes from its own Philox stream, and chunks are reduced in chunk order,
+    independent of the worker count.  A Ginibre sample is the
+    upper-Hessenberg model of the module docstring, and each charge costs
+    one O(N^2) Hessenberg LU per sample.
     """
     if n_samples < 2:
         raise ValueError("mc_moment requires n_samples >= 2")
@@ -224,17 +300,14 @@ def mc_moment(
     if charges.m == 0:
         return MCEstimate(0.0, 1.0, 0.0, n_samples, seed)
 
-    size = max(1, min(_CHUNK, _BLOCK // (_rows(spec) * spec.n)))
+    size = max(1, min(_CHUNK, _BLOCK // _entries(spec)))
 
     def run_chunk(c: int) -> tuple[float, float]:
-        a = _sample_chunk(spec, min(size, n_samples - c * size), _rng(seed, c))
-        # the chunk is this call's own: shift its diagonal in place
-        diag = np.einsum("...ii->...i", a)
-        d0 = diag.copy()
-        s = np.zeros(len(a))
-        for z, g in zip(charges.points, charges.exponents):
-            np.subtract(d0, z, out=diag)
-            s += g * logdet_batch(a)
+        count = min(size, n_samples - c * size)
+        draw = _sample_chunk(spec, count, _rng(seed, c))
+        s = np.zeros(count)
+        for g, logdet in zip(charges.exponents, _chunk_logdets(spec, draw, charges.points)):
+            s += g * logdet
         vals = np.exp(s - log_shift)
         return float(vals.sum()), float((vals * vals).sum())
 

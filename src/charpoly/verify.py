@@ -40,6 +40,7 @@ class CheckResult:
     observed: float
     tolerance: float
     detail: str = ""
+    wall_s: float | None = None  # the producing check function's wall time in verify
 
 
 def _git_sha() -> str:
@@ -528,10 +529,15 @@ def run_verification_suite(level: str = "quick", seed: int = 1) -> RunReport:
 
     def run_one(item):
         name, fn = item
+        t = time.perf_counter()
         try:
-            return fn(level, seed)
+            batch = fn(level, seed)
         except Exception as exc:  # a crashed check is a failed check
-            return [CheckResult(f"{name}_error", False, math.inf, 0.0, repr(exc))]
+            batch = [CheckResult(f"{name}_error", False, math.inf, 0.0, repr(exc))]
+        wall = time.perf_counter() - t
+        for r in batch:
+            r.wall_s = wall
+        return batch
 
     workers = min(worker_count(), len(CHECKS))
     if workers > 1:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from charpoly.ensembles import (
     _CHUNK,
     _complex_normal,
     _haar_columns,
+    _logdet_hessenberg,
     _rng,
     _sample_chunk,
     mc_moment,
@@ -38,23 +40,61 @@ def test_spec_validation():
         TruncatedCUE(4, 4)
 
 
+def _dense_hessenberg(u, b):
+    """The stack (count, N, N) of the Hessenberg model's matrices from the
+    packed upper triangle u and the subdiagonal b, samples on the last axis."""
+    n = b.shape[0] + 1
+    h = np.zeros((u.shape[1], n, n), dtype=np.complex128)
+    rows, cols = np.triu_indices(n)
+    h[:, rows, cols] = u.T
+    h[:, np.arange(1, n), np.arange(n - 1)] = b.T
+    return h
+
+
 def test_ginibre_entry_statistics():
-    draws = np.stack([_sample_chunk(Ginibre(4), 1, _rng(1, i))[0] for i in range(4000)])
-    second = np.abs(draws) ** 2
-    # E|entry|^2 = 1/N with stderr ~ (1/N)/sqrt(count)
-    mean = second.mean()
-    stderr = second.std() / math.sqrt(second.size)
-    assert abs(mean - 0.25) < 4 * stderr
-    first = draws.mean()
-    assert abs(first) < 4 * np.abs(draws).std() / math.sqrt(draws.size)
+    # E|u|^2 = 1/N on and above the diagonal; E b_j^2 = (N - 1 - j)/N
+    n, count = 4, 4000
+    u, b = _sample_chunk(Ginibre(n), count, _rng(1, 0))
+    assert u.shape == (n * (n + 1) // 2, count) and b.shape == (n - 1, count)
+    second = np.abs(u) ** 2
+    assert abs(second.mean() - 1.0 / n) < 4 * second.std() / math.sqrt(second.size)
+    assert abs(u.mean()) < 4 * np.abs(u).std() / math.sqrt(u.size)
+    assert np.all(b >= 0.0)
+    for j, row in enumerate(b * b):
+        assert abs(row.mean() - (n - 1 - j) / n) < 4 * row.std() / math.sqrt(count)
 
 
 def test_circular_law_spectral_radius():
     radii = []
     for i in range(12):
-        ev = np.linalg.eigvals(_sample_chunk(Ginibre(200), 1, _rng(2, i))[0])
+        ev = np.linalg.eigvals(_dense_hessenberg(*_sample_chunk(Ginibre(200), 1, _rng(2, i)))[0])
         radii.append(np.abs(ev).max())
     assert 0.9 < float(np.mean(radii)) < 1.15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 200])
+def test_logdet_hessenberg_matches_dense_lu(n):
+    u, b = _sample_chunk(Ginibre(n), 40, _rng(31, n))
+    h = _dense_hessenberg(u, b)
+    for z in (0.0, 0.3 - 0.4j, 0.95j, 1.2 + 0.5j, -3.0):
+        ref = logdet_batch(h - z * np.eye(n))
+        got = _logdet_hessenberg(u, b, z)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_logdet_hessenberg_exact_zeros():
+    # member 0: H - z = [[0, 1], [0, 0]], singular; member 1: a zero leading
+    # entry that only the row swap gets past, |det| = 0.7; member 2: regular
+    z = 0.4 + 0.2j
+    u = np.array([[z, z, 1.0], [1.0, 1.0, 0.5], [z, 0.5, -0.3j]])
+    b = np.array([[0.0, 0.7, 0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logdet_hessenberg(u, b, z)
+    ref = logdet_batch(_dense_hessenberg(u, b) - z * np.eye(2))
+    assert got[0] == -np.inf and ref[0] == -np.inf
+    assert got[1] == pytest.approx(math.log(0.7), rel=1e-14)
+    assert got[2] == pytest.approx(ref[2], rel=1e-14)
 
 
 def test_haar_unitarity_and_trace_moment():
@@ -112,29 +152,38 @@ def test_haar_batch_columns_orthonormal(m, n):
 
 
 def _one_shot_chunk(spec, count, rng):
-    """A chunk drawn whole: every real part in one (count, rows, N) draw,
-    then every imaginary part in a second one."""
+    """A chunk drawn whole: for Ginibre, every real part of the packed upper
+    triangles in one (count, N(N+1)/2) draw, then every imaginary part in a
+    second one, then the subdiagonal gammas one sample at a time; returned
+    samples-last."""
     if isinstance(spec, TruncatedCUE):
         return _full_qr_truncation(spec.m, spec.n, count, rng)
-    scale = 1.0 / math.sqrt(2.0 * spec.n)
-    a = np.empty((count, spec.n, spec.n), dtype=np.complex128)
-    for part in (a.real, a.imag):
+    n = spec.n
+    scale = 1.0 / math.sqrt(2.0 * n)
+    u = np.empty((count, n * (n + 1) // 2), dtype=np.complex128)
+    for part in (u.real, u.imag):
         np.multiply(rng.standard_normal(part.shape), scale, out=part)
-    return a
+    b = np.sqrt(np.stack([rng.standard_gamma(np.arange(n - 1.0, 0.0, -1.0)) for _ in range(count)]) / n)
+    return np.ascontiguousarray(u.T), np.ascontiguousarray(b.T)
 
 
 def _mc_shifted_reference(spec, charges, n_samples, seed):
-    """mc_moment's mean and stderr from whole-chunk draws, with each charge
-    applied as a - z*eye."""
+    """mc_moment's mean and stderr from whole-chunk draws of
+    min(_CHUNK, _BLOCK // entries) samples, with each charge applied as
+    a - z*eye (tCUE) or by the Hessenberg LU (Ginibre)."""
     eye = np.eye(spec.n)
-    rows = spec.m if isinstance(spec, TruncatedCUE) else spec.n
-    size = max(1, min(_CHUNK, _BLOCK // (rows * spec.n)))
+    entries = spec.m * spec.n if isinstance(spec, TruncatedCUE) else spec.n * (spec.n + 1) // 2
+    size = max(1, min(_CHUNK, _BLOCK // entries))
     total = total_sq = 0.0
     for c in range((n_samples + size - 1) // size):
-        a = _one_shot_chunk(spec, min(size, n_samples - c * size), _rng(seed, c))
-        s = np.zeros(a.shape[0])
+        count = min(size, n_samples - c * size)
+        a = _one_shot_chunk(spec, count, _rng(seed, c))
+        s = np.zeros(count)
         for z, g in zip(charges.points, charges.exponents):
-            s += g * logdet_batch(a - z * eye)
+            if isinstance(spec, TruncatedCUE):
+                s += g * logdet_batch(a - z * eye)
+            else:
+                s += g * _logdet_hessenberg(*a, z)
         vals = np.exp(s)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
@@ -154,7 +203,7 @@ def _mc_shifted_reference(spec, charges, n_samples, seed):
 )
 def test_mc_multi_charge_matches_shifted_copies(spec, charges):
     # Ginibre(8): one whole chunk of 4096 and a short one, the stream of
-    # every N <= 8; Ginibre(64): 64 chunks of 64 and a short one;
+    # every N <= 10; Ginibre(64): 32 chunks of 126 and a short one;
     # tCUE(64, 8): a chunk of 512 and a short one (the full-QR reference is large)
     n_samples = {Ginibre(64): _CHUNK + 4, TruncatedCUE(64, 8): 600}.get(spec, 5000)
     est = mc_moment(spec, charges, n_samples, seed=21, log_shift=0.0)
@@ -164,7 +213,7 @@ def test_mc_multi_charge_matches_shifted_copies(spec, charges):
 
 def test_mc_chunk_memory_is_a_few_chunks(monkeypatch):
     # a chunk is at most _BLOCK complex entries (4 MB); drawing the whole
-    # 4096-sample Ginibre(64) batch at once would trace 128 MiB
+    # 4096-sample Ginibre(64) batch at once would trace 130 MiB
     monkeypatch.setenv("CHARPOLY_THREADS", "1")
     cc = ChargeConfiguration((0.5,), (2.0,))
     tracemalloc.start()
@@ -180,8 +229,8 @@ def test_mc_ess_is_the_weights_effective_sample_size():
     spec, n_samples = Ginibre(4), 3000
     cc = ChargeConfiguration((0.5, -0.2j), (2.0, 1.0))
     est = mc_moment(spec, cc, n_samples, seed=11, log_shift=0.0)
-    a = _one_shot_chunk(spec, n_samples, _rng(11, 0))
-    w = np.exp(sum(g * logdet_batch(a - z * np.eye(4)) for z, g in zip(cc.points, cc.exponents)))
+    h = _dense_hessenberg(*_one_shot_chunk(spec, n_samples, _rng(11, 0)))
+    w = np.exp(sum(g * logdet_batch(h - z * np.eye(4)) for z, g in zip(cc.points, cc.exponents)))
     assert est.ess == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-9)
     assert 1.0 <= est.ess <= n_samples
     assert mc_moment(spec, ChargeConfiguration((), ()), n_samples, seed=11).ess == n_samples
@@ -207,6 +256,13 @@ def test_mc_matches_exact_duality():
     assert est.within(ref)
 
 
+def test_mc_ginibre64_matches_exact_duality():
+    n, z = 64, 0.5
+    ref = ginibre_moment_exact(n, 1, z)
+    est = mc_moment(Ginibre(n), ChargeConfiguration((z,), (2.0,)), 8192, seed=64, log_shift=ref)
+    assert est.within(ref)
+
+
 def test_mc_determinism_and_thread_independence(monkeypatch):
     cc = ChargeConfiguration((0.3,), (2.0,))
     monkeypatch.setenv("CHARPOLY_THREADS", "1")
@@ -216,7 +272,13 @@ def test_mc_determinism_and_thread_independence(monkeypatch):
     assert a == b  # bit identical regardless of worker count
     c = mc_moment(Ginibre(3), cc, 9000, seed=43)
     assert c != a
-    for spec, n in ((TruncatedCUE(8, 6), 9000), (Ginibre(64), 4096), (TruncatedCUE(64, 8), 2048)):
+    for spec, n in (
+        (Ginibre(1), 9000),
+        (Ginibre(2), 9000),
+        (TruncatedCUE(8, 6), 9000),
+        (Ginibre(64), 4096),
+        (TruncatedCUE(64, 8), 2048),
+    ):
         monkeypatch.setenv("CHARPOLY_THREADS", "1")
         a = mc_moment(spec, cc, n, seed=42)
         monkeypatch.setenv("CHARPOLY_THREADS", "5")

@@ -18,6 +18,10 @@ def test_report_shape_and_determinism():
     assert doc["inputs"]["level"] == "quick"
     names = [c["name"] for c in doc["checks"]]
     assert names == sorted(names)
+    # each check carries its check function's wall time
+    assert all(c["wall_s"] > 0.0 for c in doc["checks"])
+    runtime = [c for c in doc["checks"] if c["name"].startswith("c01_")]
+    assert len({c["wall_s"] for c in runtime}) == 1
     rep2 = run_verification_suite("quick", seed=1)
     # timing detail strings aside, identical seeds give identical results
     strip = lambda cs: [
