@@ -28,13 +28,21 @@ from .verify import (EXPANSIONS, RunReport, _result, first_route, moment_routes,
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE = 0, 1, 2
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_z(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError("--z expects 're' or 're,im'")
+    if len(parts) not in (1, 2):
+        raise argparse.ArgumentTypeError("--z expects 're' or 're,im'")
+    return complex(*map(_finite_float, parts))
 
 
 def _record(name, route, log_value, extra=None):
@@ -246,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, help="ambient unitary size M (tcue)")
         order = sp.add_mutually_exclusive_group(required=True)
         order.add_argument("--k", type=int, help="integer moment order (exponent 2k)")
-        order.add_argument("--gamma", type=float, help="real exponent gamma")
+        order.add_argument("--gamma", type=_finite_float, help="real exponent gamma")
         sp.add_argument("--z", type=_parse_z, default=complex(0.0), help="'re' or 're,im'")
         sp.set_defaults(func=func)
     sp.add_argument("--samples", type=int, default=20000)  # mc only
@@ -279,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--k", type=float, default=1.0)
     sp.add_argument("--k2", type=float, default=1.0)
-    sp.add_argument("--gamma", type=float, default=2.0)
+    sp.add_argument("--gamma", type=_finite_float, default=2.0)
     sp.add_argument("--kappa", type=float, default=2.0)
     sp.add_argument("--z", type=_parse_z, default=complex(0.0))
     sp.add_argument("--u1", type=float, default=0.0)

@@ -7,20 +7,21 @@ threads evaluate the chunks.  Each chunk draws at most _BLOCK standard
 complex Gaussian entries (4 MB complex) for at most _CHUNK samples: every
 real part, then every imaginary part (_complex_normal).
 
-A Ginibre sample is drawn in upper-Hessenberg form.  Householder
-reflections make a complex Ginibre matrix unitarily similar to an H whose
-entries are independent: N_C(0, 1/N) on and above the diagonal, and
-subdiagonal H[j+1, j] = sqrt(Gamma(N - 1 - j, 1) / N) (Dumitriu and
-Edelman, arXiv:math-ph/0206043, for beta = 2).  H - z has the
-characteristic polynomial of the Ginibre matrix, so one sample draws
-N(N+1)/2 Gaussians and N - 1 gammas, and each charge costs an O(N^2)
-Hessenberg LU (_logdet_hessenberg) instead of a dense one.
+A Ginibre sample is the Hessenberg model read through an elimination
+chain.  Householder reflections make a complex Ginibre matrix unitarily
+similar to an upper-Hessenberg H with independent entries: N_C(0, 1/N) on
+and above the diagonal, subdiagonal sqrt(Gamma(N - 1 - j, 1) / N)
+(Dumitriu and Edelman, arXiv:math-ph/0206043).  The pivoted LU of H - z
+reads each column of H once, through the row it carries, so m charges
+need only m jointly Gaussian entries per column (_elimination_chain): a
+sample draws N m Gaussians and N - 1 gammas and costs O(N m^2).
 
 A truncated-CUE sample draws only an M x N Gaussian: the Q of its thin QR
 holds the first N columns of a Haar U(M) (Mezzadri, arXiv:math-ph/0609050),
 in O(M N^2) work, not O(M^3).
 """
 
+import cmath
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -72,7 +73,7 @@ EnsembleSpec = Ginibre | TruncatedCUE
 
 @dataclass(frozen=True)
 class ChargeConfiguration:
-    """Charge locations z_i with real exponents gamma_i (each > -2)."""
+    """Finite charge locations z_i with real exponents gamma_i (each > -2)."""
 
     points: tuple
     exponents: tuple
@@ -82,6 +83,8 @@ class ChargeConfiguration:
         ex = tuple(float(g) for g in self.exponents)
         if len(pts) != len(ex):
             raise ValueError("points and exponents must have equal length")
+        if not all(map(cmath.isfinite, pts + ex)):
+            raise ValueError("points and exponents must be finite")
         if any(g <= -2.0 for g in ex):
             raise ValueError("each exponent must exceed -2 (integrability)")
         object.__setattr__(self, "points", pts)
@@ -164,81 +167,78 @@ def _haar_columns(a: np.ndarray) -> np.ndarray:
     return q
 
 
-def _entries(spec: EnsembleSpec) -> int:
-    """Complex Gaussians one sample draws: the packed upper triangle of the
-    Hessenberg model for Ginibre, the M x N block for the tCUE."""
-    if isinstance(spec, Ginibre):
-        return spec.n * (spec.n + 1) // 2
-    if isinstance(spec, TruncatedCUE):
-        return spec.m * spec.n
-    raise TypeError(f"unknown ensemble spec {spec!r}")
-
-
-def _sample_chunk(spec: EnsembleSpec, count: int, rng: np.random.Generator):
+def _sample_chunk(spec: EnsembleSpec, count: int, rng: np.random.Generator, m: int = 1):
     """count samples from one Gaussian draw.
 
-    Ginibre: the Hessenberg model (u, b).  u is each sample's upper
-    triangle packed row by row, from the draw _complex_normal makes for
-    shape (count, N(N+1)/2); b the subdiagonal, from one standard_gamma draw
-    of shape (count, N - 1) after it.  Both are stored with the samples on
-    the last axis, (N(N+1)/2, count) and (N - 1, count), so each column step
-    of _logdet_hessenberg works on contiguous rows.  TruncatedCUE: a stack
-    (count, N, N), the top N x N corner of _haar_columns of one draw of
-    shape (count, M, N).
+    Ginibre: the chain's (b, xi) for m charges, samples last: xi the
+    N_C(0, 1/N) column draws (N, m, count) from _complex_normal, then b
+    the subdiagonal (N - 1, count) from one standard_gamma draw.
+    TruncatedCUE: a stack (count, N, N), the top N x N corner of
+    _haar_columns of one draw of shape (count, M, N).
     """
     n = spec.n
     if isinstance(spec, TruncatedCUE):
         return _haar_columns(_complex_normal(rng, (count, spec.m, n)))[:, :n]
-    g = rng.standard_normal((2, count, _entries(spec)))
-    scale = 1.0 / math.sqrt(2.0 * n)
-    u = np.empty(g.shape[:0:-1], dtype=np.complex128)
-    np.multiply(g[0].T, scale, out=u.real)
-    np.multiply(g[1].T, scale, out=u.imag)
-    shape = np.arange(n - 1, 0, -1, dtype=float)
-    b = np.sqrt(rng.standard_gamma(shape, size=(count, n - 1)).T / n)
-    return u, b
+    xi = _complex_normal(rng, (n, m, count))
+    xi *= 1.0 / math.sqrt(2.0 * n)
+    shape = np.arange(n - 1, 0, -1, dtype=float)[:, None]
+    b = np.sqrt(rng.standard_gamma(shape, size=(n - 1, count)) / n)
+    return b, xi
 
 
-def _logdet_hessenberg(u: np.ndarray, b: np.ndarray, z: complex) -> np.ndarray:
-    """log|det(H - z)| for each upper-Hessenberg H of a chunk, in the layout
-    of _sample_chunk: u packed rows of the upper triangle (N(N+1)/2, count),
-    b the real subdiagonal (N - 1, count).
+def _elimination_chain(b: np.ndarray, xi: np.ndarray, points) -> np.ndarray:
+    """log|det(H - z_c)|, shape (m, count), for the charges z_c of points:
+    H is the Hessenberg model with subdiagonal b, read through xi.
 
-    LU with partial pivoting in which only the carried row and row j + 1
-    compete for pivot j, vectorised over the samples: one step per column,
-    O(N^2) per sample.  The row carried to the next column is divided by
-    the pivot's modulus m rather than by the pivot, which changes it by a
-    unit phase only, so |det| is the product of the m.  Singular members
-    read -inf, as in logdet_batch.
+    Into column j the pivoted LU of H - z_c carries a row beta_c of rows
+    0..j, with coefficient -w_c on row j (w = -1 at j = 0).  Column j of H
+    is fresh on and above the diagonal, so the leading entries are
+    a_c = w_c z_c + X_c, X ~ N_C(0, G/N) with G_cd = <beta_c, beta_d>;
+    with L L^H = G (L lower triangular, real diagonal >= 0) that is
+    X = L xi_j.  The pivot is p_c = max(b_j, |a_c|); with s_c = b_j / p_c
+    and w_c = a_c / p_c the next row is s_c beta_c - w_c e_{j+1}, so
+    G <- diag(s) G diag(s) + w w^H, one Givens sweep on L.  |det| is the
+    product of the pivots and the last |a_c|.  A zero pivot reads -inf,
+    and a rotation with nothing to rotate is the identity.
     """
-    n1, count = b.shape
-    piv = np.empty((n1 + 1, count))
-    tmp = np.empty((n1, count), dtype=np.complex128)
-    r = u[: n1 + 1].copy()
-    r[0] -= z
-    off = n1 + 1
+    n, m, count = xi.shape
+    z = np.asarray(points, dtype=np.complex128)[:, None]
+    chol = np.zeros((m, m, count), dtype=np.complex128)
+    chol[:, 0] = 1.0
+    w = np.full((m, count), -1.0 + 0.0j)
+    out = np.zeros((m, count))
     with np.errstate(divide="ignore"):
-        for j in range(n1):
-            a, c = r[0], b[j]
-            m = np.maximum(c, np.abs(a), out=piv[j])
-            inv = 1.0 / m
-            inv[m == 0.0] = 0.0
+        for j in range(n):
+            rank = min(j + 1, m)  # columns of L that are not zero
+            a = w * z
+            for k in range(rank):
+                a += chol[:, k] * xi[j, k]
+            if j == n - 1:
+                break
+            piv = np.maximum(b[j], np.abs(a))
+            out += np.log(piv)
+            inv = 1.0 / piv
+            inv[piv == 0.0] = 0.0
             w = a * inv
-            # row j + 1 of H - z is (c, u row j + 1 - z e_0)
-            r = r[1:]
-            r *= c * inv
-            r -= np.multiply(u[off : off + n1 - j], w, out=tmp[: n1 - j])
-            r[0] += w * z
-            off += n1 - j
-        np.abs(r[0], out=piv[n1])
-        return np.log(piv).sum(axis=0)
+            s = b[j] * inv
+            x = w.copy()
+            for k in range(min(rank + 1, m)):
+                col = chol[k:, k] * s[k:]
+                d, xk = col[0].real, x[k]
+                r = np.hypot(d, np.abs(xk))
+                flat = r == 0.0
+                inv_r = 1.0 / (r + flat)
+                c, sn = (d + flat) * inv_r, xk * inv_r
+                chol[k:, k] = c * col + sn.conj() * x[k:]
+                x[k + 1 :] = c * x[k + 1 :] - sn * col[1:]
+        out += np.log(np.abs(a))
+    return out
 
 
 def _chunk_logdets(spec: EnsembleSpec, draw, points):
     """Yield log|det(A - z)| over a chunk's samples for each z in points."""
     if isinstance(spec, Ginibre):
-        for z in points:
-            yield _logdet_hessenberg(*draw, z)
+        yield from _elimination_chain(*draw, points)
         return
     # the tCUE chunk is this call's own: shift its diagonal in place
     diag = np.einsum("...ii->...i", draw)
@@ -287,11 +287,10 @@ def mc_moment(
     asymptotic expansion so the shifted samples stay O(1) at large N.
     Deterministic for a given (seed, n_samples, spec, charges): each chunk
     of min(_CHUNK, _BLOCK // entries) samples, entries being the complex
-    Gaussians one sample draws (N(N+1)/2 for Ginibre, M N for the tCUE),
-    comes from its own Philox stream, and chunks are reduced in chunk order,
-    independent of the worker count.  A Ginibre sample is the
-    upper-Hessenberg model of the module docstring, and each charge costs
-    one O(N^2) Hessenberg LU per sample.
+    Gaussians one sample draws (N per charge for Ginibre, M N for the
+    tCUE), comes from its own Philox stream, and chunks are reduced in chunk
+    order, independent of the worker count.  A Ginibre chunk is one
+    elimination chain over all the charges (module docstring).
     """
     if n_samples < 2:
         raise ValueError("mc_moment requires n_samples >= 2")
@@ -300,11 +299,12 @@ def mc_moment(
     if charges.m == 0:
         return MCEstimate(0.0, 1.0, 0.0, n_samples, seed)
 
-    size = max(1, min(_CHUNK, _BLOCK // _entries(spec)))
+    entries = spec.n * (charges.m if isinstance(spec, Ginibre) else spec.m)
+    size = max(1, min(_CHUNK, _BLOCK // entries))
 
     def run_chunk(c: int) -> tuple[float, float]:
         count = min(size, n_samples - c * size)
-        draw = _sample_chunk(spec, count, _rng(seed, c))
+        draw = _sample_chunk(spec, count, _rng(seed, c), charges.m)
         s = np.zeros(count)
         for g, logdet in zip(charges.exponents, _chunk_logdets(spec, draw, charges.points)):
             s += g * logdet

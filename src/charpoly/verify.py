@@ -187,16 +187,18 @@ EXPANSIONS = {
 # ---------------------------------------------------------------------------
 
 def check_mc_vs_exact_ginibre(level: str, seed: int):
-    """Monte Carlo at N=8 vs the exact LUE-duality route (3 stderr)."""
-    n = 8
-    samples = 200_000 if level == "full" else 20_000
+    """Monte Carlo vs the exact LUE-duality route (3 stderr): N = 8, and at
+    the full level also N = 200 at |z| = 1."""
+    full = level == "full"
     points = (
-        [(k, z) for k in (1, 2) for z in (0.0, 0.5, 1.0)]
-        if level == "full"
-        else [(1, 0.0), (1, 0.5), (2, 0.5)]
+        [(8, k, z) for k in (1, 2) for z in (0.0, 0.5, 1.0)] + [(200, 1, 1.0)]
+        if full
+        else [(8, 1, 0.0), (8, 1, 0.5), (8, 2, 0.5)]
     )
     out = []
-    for i, (k, z) in enumerate(points):
+    for i, (n, k, z) in enumerate(points):
+        samples = 200_000 if full and n == 8 else 20_000
+        tag = f"k{k}_z{z}" if n == 8 else f"n{n}_k{k}_z{z}"
         t0 = time.time()
         exact = dual.ginibre_moment_exact(n, k, z)
         est = mc_moment(
@@ -209,15 +211,13 @@ def check_mc_vs_exact_ginibre(level: str, seed: int):
         dt = time.time() - t0
         out.append(
             _result(
-                f"c01_mc_ginibre_k{k}_z{z}",
+                f"c01_mc_ginibre_{tag}",
                 est.sigmas(exact),
                 3.0,
-                f"{samples} samples, {dt:.1f}s",
+                f"{samples} samples, ESS {est.ess:.0f}, {dt:.1f}s",
             )
         )
-        out.append(
-            _result(f"c01_runtime_k{k}_z{z}", dt, 60.0, "seconds per point")
-        )
+        out.append(_result(f"c01_runtime_{tag}", dt, 60.0, "seconds per point"))
     return out
 
 

@@ -262,6 +262,30 @@ def test_out_of_domain_is_a_usage_error_with_one_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--n", "8", "--k", "1", "--z", "inf"],
+        ["exact", "--n", "8", "--k", "1", "--z", "nan"],
+        ["mc", "--n", "8", "--k", "1", "--z", "0.5,-inf"],
+        ["mc", "--ensemble", "tcue", "--m", "8", "--n", "6", "--k", "1", "--z", "nan"],
+        ["exact", "--n", "8", "--gamma", "nan"],
+        ["mc", "--n", "8", "--gamma", "inf", "--z", "0.5"],
+        ["asym", "--expansion", "interior", "--n", "8", "--gamma=-inf"],
+    ],
+    ids=["exact-z-inf", "exact-z-nan", "mc-z-imag-inf", "mc-tcue-z-nan", "exact-gamma-nan",
+         "mc-gamma-inf", "asym-gamma-inf"],
+)
+def test_non_finite_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "finite" in errors[0]
+
+
 def test_exact_routes_agree_at_n64(capsys):
     # the finite-N Painleve V transport, once listed among these routes, is
     # 6.88 off here and failed the agreement check

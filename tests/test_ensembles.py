@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from charpoly.dualities import ginibre_moment_exact
+from charpoly.dualities import GinibreWeight, correlator_finiteN, ginibre_moment_exact
 from charpoly.ensembles import (
     ChargeConfiguration,
     Ginibre,
@@ -14,8 +14,8 @@ from charpoly.ensembles import (
     _BLOCK,
     _CHUNK,
     _complex_normal,
+    _elimination_chain,
     _haar_columns,
-    _logdet_hessenberg,
     _rng,
     _sample_chunk,
     mc_moment,
@@ -33,6 +33,16 @@ def test_charge_configuration_validation():
         ChargeConfiguration((0.0, 1.0), (2.0,))
 
 
+@pytest.mark.parametrize(
+    "points,exponents",
+    [((math.nan,), (2.0,)), ((complex(0.1, math.inf),), (2.0,)), ((0.5, -math.inf), (2.0, 2.0)),
+     ((0.5,), (math.nan,)), ((0.5,), (math.inf,))],
+)
+def test_charge_configuration_refuses_non_finite(points, exponents):
+    with pytest.raises(ValueError, match="finite"):
+        ChargeConfiguration(points, exponents)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         Ginibre(0)
@@ -40,25 +50,53 @@ def test_spec_validation():
         TruncatedCUE(4, 4)
 
 
-def _dense_hessenberg(u, b):
-    """The stack (count, N, N) of the Hessenberg model's matrices from the
-    packed upper triangle u and the subdiagonal b, samples on the last axis."""
-    n = b.shape[0] + 1
-    h = np.zeros((u.shape[1], n, n), dtype=np.complex128)
-    rows, cols = np.triu_indices(n)
-    h[:, rows, cols] = u.T
-    h[:, np.arange(1, n), np.arange(n - 1)] = b.T
+def _hessenberg_model(n, count, rng):
+    """The stack (count, N, N) of Dumitriu-Edelman Hessenberg matrices:
+    N_C(0, 1/N) entries on and above the diagonal, subdiagonal
+    sqrt(Gamma(N - 1 - j, 1) / N) at column j."""
+    h = np.triu(rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+    h /= math.sqrt(2.0 * n)
+    shape = np.arange(n - 1, 0, -1, dtype=float)
+    h[:, np.arange(1, n), np.arange(n - 1)] = np.sqrt(rng.standard_gamma(shape, (count, n - 1)) / n)
     return h
 
 
+def _project_columns(h, points):
+    """The chain's (b, xi) that reproduce the stack h pathwise.  Row c of
+    beta holds the elimination vector of charge c (its carried row as a
+    combination of rows of h - z_c).  Column j of h, read through beta, is
+    X = beta h_j; with L the lower-triangular factor of the Gram
+    beta beta^H (only its leading rank x rank block is invertible),
+    xi_j = L^-1 X on that block and 0 below it."""
+    count, n, _ = h.shape
+    m, z = len(points), np.asarray(points)
+    xi = np.zeros((n, m, count), dtype=np.complex128)
+    beta = np.zeros((count, m, n), dtype=np.complex128)
+    beta[:, :, 0] = 1.0
+    for j in range(n):
+        x = np.einsum("scr,sr->sc", beta, h[:, :, j])
+        rank = min(j + 1, m)
+        lead = beta[:, :rank]
+        chol = np.linalg.cholesky(np.einsum("scr,sdr->scd", lead, lead.conj()))
+        xi[j, :rank] = np.linalg.solve(chol, x[:, :rank, None])[..., 0].T
+        if j == n - 1:
+            break
+        a = x - z * beta[:, :, j]
+        b = h[:, j + 1, j, None].real
+        piv = np.maximum(b, np.abs(a))
+        beta *= (b / piv)[:, :, None]
+        beta[:, :, j + 1] -= a / piv
+    return np.ascontiguousarray(h[:, np.arange(1, n), np.arange(n - 1)].real.T), xi
+
+
 def test_ginibre_entry_statistics():
-    # E|u|^2 = 1/N on and above the diagonal; E b_j^2 = (N - 1 - j)/N
-    n, count = 4, 4000
-    u, b = _sample_chunk(Ginibre(n), count, _rng(1, 0))
-    assert u.shape == (n * (n + 1) // 2, count) and b.shape == (n - 1, count)
-    second = np.abs(u) ** 2
+    # E|xi|^2 = 1/N for every column draw; E b_j^2 = (N - 1 - j)/N
+    n, m, count = 4, 3, 4000
+    b, xi = _sample_chunk(Ginibre(n), count, _rng(1, 0), m)
+    assert xi.shape == (n, m, count) and b.shape == (n - 1, count)
+    second = np.abs(xi) ** 2
     assert abs(second.mean() - 1.0 / n) < 4 * second.std() / math.sqrt(second.size)
-    assert abs(u.mean()) < 4 * np.abs(u).std() / math.sqrt(u.size)
+    assert abs(xi.mean()) < 4 * np.abs(xi).std() / math.sqrt(xi.size)
     assert np.all(b >= 0.0)
     for j, row in enumerate(b * b):
         assert abs(row.mean() - (n - 1 - j) / n) < 4 * row.std() / math.sqrt(count)
@@ -67,34 +105,55 @@ def test_ginibre_entry_statistics():
 def test_circular_law_spectral_radius():
     radii = []
     for i in range(12):
-        ev = np.linalg.eigvals(_dense_hessenberg(*_sample_chunk(Ginibre(200), 1, _rng(2, i)))[0])
+        ev = np.linalg.eigvals(_hessenberg_model(200, 1, _rng(2, i))[0])
         radii.append(np.abs(ev).max())
     assert 0.9 < float(np.mean(radii)) < 1.15
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 200])
 def test_logdet_hessenberg_matches_dense_lu(n):
-    u, b = _sample_chunk(Ginibre(n), 40, _rng(31, n))
-    h = _dense_hessenberg(u, b)
-    for z in (0.0, 0.3 - 0.4j, 0.95j, 1.2 + 0.5j, -3.0):
-        ref = logdet_batch(h - z * np.eye(n))
-        got = _logdet_hessenberg(u, b, z)
+    # the chain fed the column projections of a dense Hessenberg H is the
+    # pivoted LU of H - z_c, for 1, 2 and 4 distinct charges
+    h = _hessenberg_model(n, 30, _rng(31, n))
+    charges = (0.0, 0.3 - 0.4j, 0.95j, 1.2 + 0.5j, -3.0)
+    for points in (charges[1:2], charges[3:], charges[:4], charges[1:]):
+        ref = np.array([logdet_batch(h - z * np.eye(n)) for z in points])
+        got = _elimination_chain(*_project_columns(h, points), points)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_logdet_hessenberg_exact_zeros():
-    # member 0: H - z = [[0, 1], [0, 0]], singular; member 1: a zero leading
-    # entry that only the row swap gets past, |det| = 0.7; member 2: regular
+    # member 0: b_0 = 0 and a zero leading entry, singular; member 1: a zero
+    # leading entry that only the row swap gets past, |det| = 0.7; member 2:
+    # regular, against the dense LU of the H it projects from
     z = 0.4 + 0.2j
-    u = np.array([[z, z, 1.0], [1.0, 1.0, 0.5], [z, 0.5, -0.3j]])
-    b = np.array([[0.0, 0.7, 0.7]])
+    h = np.array([[[z, 1.0], [0.0, 0.0]], [[z, 1.0], [0.7, 0.0]], [[z, 0.5], [0.7, -0.3j]]])
+    b, xi = _project_columns(h[1:], (z,))
+    b = np.concatenate([[[0.0]], b], axis=1)
+    xi = np.concatenate([np.full((2, 1, 1), z), xi], axis=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _logdet_hessenberg(u, b, z)
-    ref = logdet_batch(_dense_hessenberg(u, b) - z * np.eye(2))
-    assert got[0] == -np.inf and ref[0] == -np.inf
+        got = _elimination_chain(b, xi, (z,))[0]
+        pair = _elimination_chain(b, np.concatenate([xi, xi], axis=1), (z, -0.5))
+    assert got[0] == -np.inf
     assert got[1] == pytest.approx(math.log(0.7), rel=1e-14)
-    assert got[2] == pytest.approx(ref[2], rel=1e-14)
+    assert got[2] == pytest.approx(logdet_batch(h[2] - z * np.eye(2)), rel=1e-14)
+    # the zero member of one charge leaves the other charge finite
+    assert pair[0, 0] == -np.inf and np.all(np.isfinite(pair[1]))
+
+
+def test_coincident_charges_share_their_chain():
+    # two charges at one point are one charge with the summed exponent
+    b, xi = _sample_chunk(Ginibre(8), 2000, _rng(12, 0), 3)
+    got = _elimination_chain(b, xi, (0.3, -0.5j, 0.3))
+    assert np.max(np.abs(got[0] - got[2])) <= 1e-12
+
+
+def test_mc_coincident_charges_match_correlator():
+    cc = ChargeConfiguration((0.3, 0.3), (2.0, 2.0))
+    ref = correlator_finiteN(GinibreWeight(4), cc)
+    est = mc_moment(Ginibre(4), cc, 50_000, seed=24, log_shift=ref)
+    assert est.within(ref)
 
 
 def test_haar_unitarity_and_trace_moment():
@@ -151,39 +210,39 @@ def test_haar_batch_columns_orthonormal(m, n):
     assert np.max(np.abs(gram - np.eye(n))) < 1e-12
 
 
-def _one_shot_chunk(spec, count, rng):
-    """A chunk drawn whole: for Ginibre, every real part of the packed upper
-    triangles in one (count, N(N+1)/2) draw, then every imaginary part in a
-    second one, then the subdiagonal gammas one sample at a time; returned
-    samples-last."""
+def _one_shot_chunk(spec, count, rng, m):
+    """A chunk drawn whole: for Ginibre, every real part of the (N, m,
+    count) column draws in one draw, then every imaginary part in a second
+    one, then the subdiagonal gammas one column at a time."""
     if isinstance(spec, TruncatedCUE):
         return _full_qr_truncation(spec.m, spec.n, count, rng)
     n = spec.n
     scale = 1.0 / math.sqrt(2.0 * n)
-    u = np.empty((count, n * (n + 1) // 2), dtype=np.complex128)
-    for part in (u.real, u.imag):
+    xi = np.empty((n, m, count), dtype=np.complex128)
+    for part in (xi.real, xi.imag):
         np.multiply(rng.standard_normal(part.shape), scale, out=part)
-    b = np.sqrt(np.stack([rng.standard_gamma(np.arange(n - 1.0, 0.0, -1.0)) for _ in range(count)]) / n)
-    return np.ascontiguousarray(u.T), np.ascontiguousarray(b.T)
+    b = np.sqrt(np.array([rng.standard_gamma(n - 1.0 - j, count) for j in range(n - 1)]) / n)
+    return b.reshape(n - 1, count), xi
 
 
 def _mc_shifted_reference(spec, charges, n_samples, seed):
     """mc_moment's mean and stderr from whole-chunk draws of
     min(_CHUNK, _BLOCK // entries) samples, with each charge applied as
-    a - z*eye (tCUE) or by the Hessenberg LU (Ginibre)."""
+    a - z*eye (tCUE) or by the elimination chain (Ginibre)."""
     eye = np.eye(spec.n)
-    entries = spec.m * spec.n if isinstance(spec, TruncatedCUE) else spec.n * (spec.n + 1) // 2
+    entries = spec.m * spec.n if isinstance(spec, TruncatedCUE) else spec.n * charges.m
     size = max(1, min(_CHUNK, _BLOCK // entries))
     total = total_sq = 0.0
     for c in range((n_samples + size - 1) // size):
         count = min(size, n_samples - c * size)
-        a = _one_shot_chunk(spec, count, _rng(seed, c))
+        a = _one_shot_chunk(spec, count, _rng(seed, c), charges.m)
+        if isinstance(spec, TruncatedCUE):
+            logdets = [logdet_batch(a - z * eye) for z in charges.points]
+        else:
+            logdets = _elimination_chain(*a, charges.points)
         s = np.zeros(count)
-        for z, g in zip(charges.points, charges.exponents):
-            if isinstance(spec, TruncatedCUE):
-                s += g * logdet_batch(a - z * eye)
-            else:
-                s += g * _logdet_hessenberg(*a, z)
+        for g, logdet in zip(charges.exponents, logdets):
+            s += g * logdet
         vals = np.exp(s)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
@@ -202,8 +261,8 @@ def _mc_shifted_reference(spec, charges, n_samples, seed):
     ],
 )
 def test_mc_multi_charge_matches_shifted_copies(spec, charges):
-    # Ginibre(8): one whole chunk of 4096 and a short one, the stream of
-    # every N <= 10; Ginibre(64): 32 chunks of 126 and a short one;
+    # Ginibre(8), four charges: a whole chunk of 4096 and a short one;
+    # Ginibre(64), two charges: two chunks of 2048 and a short one;
     # tCUE(64, 8): a chunk of 512 and a short one (the full-QR reference is large)
     n_samples = {Ginibre(64): _CHUNK + 4, TruncatedCUE(64, 8): 600}.get(spec, 5000)
     est = mc_moment(spec, charges, n_samples, seed=21, log_shift=0.0)
@@ -229,8 +288,8 @@ def test_mc_ess_is_the_weights_effective_sample_size():
     spec, n_samples = Ginibre(4), 3000
     cc = ChargeConfiguration((0.5, -0.2j), (2.0, 1.0))
     est = mc_moment(spec, cc, n_samples, seed=11, log_shift=0.0)
-    h = _dense_hessenberg(*_one_shot_chunk(spec, n_samples, _rng(11, 0)))
-    w = np.exp(sum(g * logdet_batch(h - z * np.eye(4)) for z, g in zip(cc.points, cc.exponents)))
+    logdets = _elimination_chain(*_one_shot_chunk(spec, n_samples, _rng(11, 0), cc.m), cc.points)
+    w = np.exp(sum(g * logdet for g, logdet in zip(cc.exponents, logdets)))
     assert est.ess == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-9)
     assert 1.0 <= est.ess <= n_samples
     assert mc_moment(spec, ChargeConfiguration((), ()), n_samples, seed=11).ess == n_samples
@@ -272,17 +331,21 @@ def test_mc_determinism_and_thread_independence(monkeypatch):
     assert a == b  # bit identical regardless of worker count
     c = mc_moment(Ginibre(3), cc, 9000, seed=43)
     assert c != a
-    for spec, n in (
-        (Ginibre(1), 9000),
-        (Ginibre(2), 9000),
-        (TruncatedCUE(8, 6), 9000),
-        (Ginibre(64), 4096),
-        (TruncatedCUE(64, 8), 2048),
+    cc2 = ChargeConfiguration((0.3, -0.6j), (2.0, 1.0))
+    for spec, n, charges in (
+        (Ginibre(1), 9000, cc),
+        (Ginibre(2), 9000, cc),
+        (Ginibre(8), 9000, cc),
+        (Ginibre(8), 20_000, cc2),
+        (TruncatedCUE(8, 6), 9000, cc),
+        (Ginibre(64), 4096, cc),
+        (Ginibre(64), 4096, cc2),
+        (TruncatedCUE(64, 8), 2048, cc),
     ):
         monkeypatch.setenv("CHARPOLY_THREADS", "1")
-        a = mc_moment(spec, cc, n, seed=42)
+        a = mc_moment(spec, charges, n, seed=42)
         monkeypatch.setenv("CHARPOLY_THREADS", "5")
-        assert mc_moment(spec, cc, n, seed=42) == a
+        assert mc_moment(spec, charges, n, seed=42) == a
 
 
 def test_mc_requires_two_samples():
