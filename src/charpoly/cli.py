@@ -124,15 +124,11 @@ def cmd_painleve(args) -> RunReport:
         fam, t0 = pain.PIV(args.k), None  # one boundary-value solve, no seed point
         sol = pain.piv_solution(args.k)
         f = pain.piv_f(args.k, args.x, tol=args.tol)
-    else:  # transport from the gap ensemble's sigma data at t0 to x
-        if args.family == "p5":  # t0 < x, so F is transported, not read at its seed
-            fam, t0 = pain.PV(args.k, args.alpha), 0.5 * args.x
-            lo, hi = t0, args.x
-        else:
-            fam, t0 = pain.pvi_from_jue(args.k, args.alpha, args.beta), 0.5
-            lo, hi = min(args.x, t0) * 0.9, min(max(args.x, t0) + 0.02, 0.99)
-        init = pain.init_from_gap(fam, t0)
-        sol = pain.solve_span(fam, init, lo, hi, tol=args.tol)
+    else:  # seeded at t0 = x/2 < x, so F is transported, not read at its seed
+        fam = (pain.PV(args.k, args.alpha) if args.family == "p5"
+               else pain.pvi_from_jue(args.k, args.alpha, args.beta))
+        t0 = 0.5 * args.x
+        sol = pain.solve_span(fam, pain.init_from_gap(fam, t0), t0, args.x, tol=args.tol)
         f = pain.F_from_sigma(fam, sol, args.x)
     try:
         ens = pain.gap_ensemble(fam)

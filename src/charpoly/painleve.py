@@ -18,8 +18,8 @@ host.  Against the GUE(k) law at k = 1-4, ln F is within 3.2e-10 on
 [-14, 8] and, through the integrated series, at x = -20 (k = 1-3; F
 underflows there at k = 4).  The solution is cached per order, so a warm
 ``piv_f`` costs one Gauss-Legendre quadrature of one dense call.  Each
-solution segment is read as arrays: its nodes, residuals and transport
-integrals come from one dense call each.
+solution segment is anchored at the end where ln F is known (the seed, or
+t = 8 for PIV) and sums its transport integral outward from there.
 """
 
 import math
@@ -247,8 +247,8 @@ class SigmaInit:
     t0: float
     sigma0: float
     sigma0_prime: float
-    sigma0_pp_hint: Optional[float] = None
-    log_f0: Optional[float] = None  # ln of the transported probability at t0
+    sigma0_pp_hint: float  # selects the sigma'' root branch
+    log_f0: float  # ln of the transported probability at t0
 
 
 def log_derivatives(fn: Callable[[float], float], t0: float, h: float):
@@ -339,24 +339,26 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 class _Segment:
-    """One dense trajectory piece with a cumulative transport integral.
+    """One dense trajectory piece, anchored at the end t_a where ln F is
+    known: ln F(t) is ln F(t_a) plus the transport integral from t_a.
 
     The integral is evaluated after the solve by per-interval Gauss
     quadrature on the dense output, so it never perturbs the ODE flow.  It
-    is summed from the left end, or from the right one if ``from_hi``, so
-    that it is exact to round-off of its own size near that end.
+    is summed outward from t_a, so that it is exact to round-off of its own
+    size near the anchor.  The node residuals are computed on construction.
     """
 
-    def __init__(self, family, dense, nodes, from_hi=False):
+    def __init__(self, family, dense, nodes, anchor):
         self.family = family
         self.dense = dense
         self.nodes = np.sort(np.asarray(nodes, dtype=float))
         self.lo = float(self.nodes[0])
         self.hi = float(self.nodes[-1])
-        self.quad_base = 0.0
+        t_a, self.log_fa = anchor
         parts = self._gl(self.nodes[:-1], self.nodes[1:])
-        self._cum = (-np.cumsum([0.0, *parts[::-1]])[::-1] if from_hi
+        self._cum = (-np.cumsum([0.0, *parts[::-1]])[::-1] if t_a == self.hi
                      else np.cumsum([0.0, *parts]))
+        self.max_residual = float(np.max(_residual(family, self.nodes, *dense(self.nodes))))
 
     def _gl(self, a: np.ndarray, b: np.ndarray) -> list:
         """Gauss-Legendre integrals over each [a_i, b_i], from one dense call."""
@@ -367,46 +369,42 @@ class _Segment:
         return [h * float(np.dot(_GL_WEIGHTS, v.tolist())) if h else 0.0
                 for h, v in zip(half, vals)]
 
-    def contains(self, t: float) -> bool:
-        return self.lo - 1e-12 <= t <= self.hi + 1e-12
-
     def state(self, t: float):
         y = self.dense(float(np.clip(t, self.lo, self.hi)))
         return float(y[0]), float(y[1]), float(y[2])
 
-    def quad(self, t: float) -> float:
+    def log_f(self, t: float) -> float:
         t = float(np.clip(t, self.lo, self.hi))
-        i = int(np.searchsorted(self.nodes, t, side="right") - 1)
-        i = min(max(i, 0), self.nodes.size - 2)
-        return self.quad_base + self._cum[i] + self._gl(self.nodes[i:i + 1], np.array([t]))[0]
+        i = min(int(np.searchsorted(self.nodes, t, side="right")) - 1, self.nodes.size - 2)
+        return self.log_fa + (self._cum[i] + self._gl(self.nodes[i:i + 1], np.array([t]))[0])
 
 
 @dataclass
 class SigmaSolution:
+    """Segments covering the solved span, each carrying its own ln F anchor."""
     family: SigmaFamily
-    grid: np.ndarray
-    sigma: np.ndarray
-    sigma_prime: np.ndarray
-    max_residual: float
+    _segments: list = field(repr=False)
     nfev: int = 0  # ODE right-hand-side evaluations spent building it
-    _segments: list = field(repr=False, default_factory=list)
-    _anchor: Optional[tuple] = field(repr=False, default=None)  # (t, logF)
     _piv_tail: Optional[float] = field(repr=False, default=None)  # PIV tail amplitude
+
+    @property
+    def max_residual(self) -> float:  # the largest node residual of any segment
+        return max(seg.max_residual for seg in self._segments)
 
     def _segment(self, t: float) -> _Segment:
         for seg in self._segments:
-            if seg.contains(t):
+            if seg.lo - 1e-12 <= t <= seg.hi + 1e-12:
                 return seg
-        raise ValueError(f"t={t} outside the solved span "
-                         f"[{self.grid[0]}, {self.grid[-1]}]")
+        raise ValueError(f"t={t} outside the solved span [{min(s.lo for s in self._segments)}, "
+                         f"{max(s.hi for s in self._segments)}]")
 
     def state(self, t: float):
         """(sigma, sigma', sigma'') at t (within the covered span)."""
         return self._segment(t).state(t)
 
-    def quad(self, t: float) -> float:
-        """Transport integral of the family integrand, common origin."""
-        return self._segment(t).quad(t)
+    def log_f(self, t: float) -> float:
+        """ln F at t (within the covered span), from its segment's anchor."""
+        return self._segment(t).log_f(t)
 
 
 def _ode_rhs(f: SigmaFamily):
@@ -418,8 +416,6 @@ def _ode_rhs(f: SigmaFamily):
 
 
 def _integrate_segment(f, t0, y0, t1):
-    if t0 == t1:
-        return None
     sol = _integrate.solve_ivp(
         _ode_rhs(f),
         [t0, t1],
@@ -440,7 +436,7 @@ def _integrate_segment(f, t0, y0, t1):
 def _initial_spp(f: SigmaFamily, init: SigmaInit, tol: float) -> float:
     r1, r2 = sigma_pp_roots(f, init.t0, init.sigma0, init.sigma0_prime)
     hint = init.sigma0_pp_hint
-    spp = r1 if (hint is None or abs(r1 - hint) <= abs(r2 - hint)) else r2
+    spp = r1 if abs(r1 - hint) <= abs(r2 - hint) else r2
     res = residual(f, init.t0, init.sigma0, init.sigma0_prime, spp)
     if res > 10.0 * tol:
         raise SolveError(
@@ -456,8 +452,9 @@ def solve_span(
     hi: float,
     tol: float = 1e-8,
 ) -> SigmaSolution:
-    """Solve covering [lo, hi] from an interior initial point, integrating
-    out in both directions."""
+    """Solve covering [lo, hi] from the seed init.t0 in [lo, hi], integrating
+    out to each end that differs from it.  Each piece is a segment anchored
+    at t0, where ln F = init.log_f0; a seed inside the span gives two."""
     if lo >= hi:
         raise ValueError("need lo < hi")
     _check_domain(f, lo, hi)
@@ -468,33 +465,11 @@ def solve_span(
     y0 = [init.sigma0, init.sigma0_prime, spp0]
     segments, nfev = [], 0
     for target in (lo, hi):
-        seg = _integrate_segment(f, t0, y0, target)
-        if seg is not None:
-            segments.append(_Segment(f, seg.sol, seg.t))
+        if target != t0:
+            seg = _integrate_segment(f, t0, y0, target)
+            segments.append(_Segment(f, seg.sol, seg.t, (t0, init.log_f0)))
             nfev += seg.nfev
-    # common transport origin at t0
-    for seg in segments:
-        seg.quad_base = -seg.quad(t0)
-    anchor = (init.t0, init.log_f0) if init.log_f0 is not None else None
-    return _check_residual(_assemble(f, segments, anchor, nfev), tol)
-
-
-def _assemble(f, segments, anchor, nfev) -> SigmaSolution:
-    ts = np.concatenate([seg.nodes for seg in segments])
-    s, sp, spp = np.concatenate([seg.dense(seg.nodes) for seg in segments], axis=1)
-    order = np.argsort(ts)
-    grid = ts[order]
-    keep = np.concatenate([[True], np.diff(grid) > 0.0])  # strictly ascending
-    return SigmaSolution(
-        family=f,
-        grid=grid[keep],
-        sigma=s[order][keep],
-        sigma_prime=sp[order][keep],
-        max_residual=float(np.max(_residual(f, ts, s, sp, spp))),
-        nfev=nfev,
-        _segments=segments,
-        _anchor=anchor,
-    )
+    return _check_residual(SigmaSolution(f, segments, nfev), tol)
 
 
 def _check_residual(sol: SigmaSolution, tol: float) -> SigmaSolution:
@@ -601,10 +576,8 @@ def piv_solution(k: float) -> SigmaSolution:
     if not sol.success:
         raise SolveError(f"PIV boundary-value solve failed for k={k}: {sol.message}")
     a = float(sol.y[0, -1]) / g
-    seg = _Segment(f, sol.sol, sol.x, from_hi=True)
-    out = _assemble(f, [seg], (hi, _piv_log_tail(k, a, hi)), nfev)
-    out._piv_tail = a
-    return out
+    seg = _Segment(f, sol.sol, sol.x, (hi, _piv_log_tail(k, a, hi)))
+    return SigmaSolution(f, [seg], nfev, _piv_tail=a)
 
 
 def _piv_log_tail(k: float, a: float, x: float) -> float:
@@ -638,8 +611,7 @@ def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
     sol = _check_residual(piv_solution(k), tol)
     if x >= lo:
         return F_from_sigma(PIV(k), sol, x)
-    ta, logfa = sol._anchor
-    return math.exp(logfa + sol.quad(lo) - sol.quad(ta) - integral)
+    return math.exp(sol.log_f(lo) - integral)
 
 
 # ---------------------------------------------------------------------------
@@ -647,15 +619,13 @@ def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 def F_from_sigma(f: SigmaFamily, sol: SigmaSolution, x: float) -> float:
-    """The transported probability at x: exp of the anchored integral of the
-    family integrand along the solution.  An x outside the solved span
-    raises ValueError."""
+    """The transported probability exp(sol.log_f(x)): ln F at the anchor of
+    the segment holding x plus the family integrand integrated from there.
+    Right of t = 8 a PIV solution gives its closed-form tail instead.  An x
+    outside the solved span raises ValueError."""
     if sol._piv_tail is not None and x >= _PIV_SPAN[1]:
         return math.exp(_piv_log_tail(sol.family.k, sol._piv_tail, x))
-    if sol._anchor is None:
-        raise ValueError("solution carries no probability anchor")
-    ta, logfa = sol._anchor
-    return math.exp(logfa + sol.quad(x) - sol.quad(ta))
+    return math.exp(sol.log_f(x))
 
 
 # ---------------------------------------------------------------------------

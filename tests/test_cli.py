@@ -420,15 +420,19 @@ def test_painleve_subcommand(capsys):
     assert ode["route"] == "pv-ode" and ode["nfev"] > 0
 
 
-def test_painleve_p5_transports_f_from_below_x(capsys):
-    # seeded at max(1, x) = x, F was the gap determinant itself and the
-    # check observed 0.0
-    code, out = run_cli(capsys, "painleve", "--family", "p5", "--k", "2", "--alpha", "1",
-                        "--x", "3")
+@pytest.mark.parametrize("args, x", [
+    (["--family", "p5", "--k", "2", "--alpha", "1"], 3.0),
+    (["--family", "p6", "--k", "1", "--alpha", "1", "--beta", "2"], 0.5),
+    (["--family", "p6", "--k", "1", "--alpha", "1", "--beta", "2"], 0.995),
+], ids=["p5-x3", "p6-x0.5", "p6-x0.995"])
+def test_painleve_p5_transports_f_from_below_x(capsys, args, x):
+    # seeded at x itself (p5 at max(1, x), p6 at 0.5), F was the gap
+    # determinant and the check observed 0.0; p6 also refused x > 0.99
+    code, out = run_cli(capsys, "painleve", *args, "--x", str(x))
     assert code == 0
     doc = json.loads(out)
     ode, det = doc["outputs"]
-    assert ode["t0"] < 3.0 and ode["value"] != det["value"]
+    assert ode["t0"] < x and ode["value"] != det["value"]
     assert doc["checks"][0]["name"] == "ode_vs_determinant" and doc["checks"][0]["passed"]
 
 

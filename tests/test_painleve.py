@@ -87,7 +87,8 @@ def test_piv_solve_reproduces_gue_cdf():
 def test_piv_zero_parameter_trivial():
     sol = piv_solution(0.0)
     assert sol.max_residual == 0.0
-    assert np.all(sol.sigma == 0.0)
+    for t in np.linspace(-16.0, 8.0, 25):
+        assert sol.state(float(t)) == (0.0, 0.0, 0.0)
     for x in (-14.0, -3.0, 1.0, 8.0, 12.0):
         assert F_from_sigma(PIV(0.0), sol, x) == 1.0
 
@@ -265,7 +266,7 @@ def test_init_from_gap_errors():
 
 
 def test_init_residual_gate():
-    bad = SigmaInit(1.0, 5.0, 10.0, 0.0)
+    bad = SigmaInit(1.0, 5.0, 10.0, 0.0, log_f0=-1.0)
     with pytest.raises((SolveError, BranchError)):
         solve_span(PV(1.0, 2.0), bad, 1.0, 4.0, tol=1e-8)
 
@@ -304,7 +305,7 @@ def test_solve_domain_guards():
     with pytest.raises(ValueError):
         solve_span(fam, init, -1.0, 2.0)
     with pytest.raises(ValueError):  # a PV span wholly on t < 0
-        solve_span(fam, SigmaInit(-1.5, 0.1, 0.1, 0.1), -2.0, -1.0)
+        solve_span(fam, SigmaInit(-1.5, 0.1, 0.1, 0.1, log_f0=-1.0), -2.0, -1.0)
     fam6 = pvi_from_jue(1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         solve_span(fam6, init_from_gap(fam6, 0.5), 0.1, 1.2)
@@ -398,8 +399,18 @@ def test_pv_f_vanishes_toward_origin():
     assert f == pytest.approx(gap_cdf(LUE(1, 1.0), 0.05), rel=1e-4)
 
 
-def test_solution_grid_strictly_ascending():
-    fam = PV(1.0, 1.0)
-    sol = solve_span(fam, init_from_gap(fam, 2.0), 0.3, 8.0, tol=1e-7)
-    assert np.all(np.diff(sol.grid) > 0)
-    assert np.all(np.diff(piv_solution(1.0).grid) > 0)
+def test_two_way_segments_share_the_seed_anchor():
+    # both segments of a two-way solve are anchored at t0 = 0.5 with
+    # ln F(t0) = init.log_f0, and F is continuous across t0
+    fam = pvi_from_jue(1.0, 1.0, 2.0)
+    init = init_from_gap(fam, 0.5)
+    sol = solve_span(fam, init, 0.03, 0.97, tol=1e-7)
+    below, above = sol._segments
+    assert below.hi == above.lo == 0.5
+    want = math.exp(init.log_f0)
+    for seg in (below, above):
+        assert math.exp(seg.log_f(0.5)) == pytest.approx(want, rel=1e-15)
+    assert F_from_sigma(fam, sol, 0.5) == pytest.approx(want, rel=1e-15)
+    left, right = F_from_sigma(fam, sol, 0.5 - 1e-9), F_from_sigma(fam, sol, 0.5 + 1e-9)
+    assert left == pytest.approx(want, rel=1e-8) and right == pytest.approx(want, rel=1e-8)
+    assert left < want < right  # a distribution function, increasing through t0
