@@ -24,7 +24,7 @@ from .dualities import (
     log_c_lemniscate,
 )
 from .linalg import logdet
-from .specfun import erfc_complex, log_barnes_g
+from .specfun import erfc_complex, integer, log_barnes_g
 
 __all__ = [
     "EdgeVectors",
@@ -82,8 +82,8 @@ def gue_largest_f(k: float, x: float) -> float:
     connection solve for real k."""
     if k == 0.0:
         return 1.0
-    if abs(k - round(k)) < 1e-12 and k >= 1:
-        return _gap.gap_cdf(_gap.GUE(int(round(k))), x)
+    if (ki := integer(k)) is not None and ki >= 1:
+        return _gap.gap_cdf(_gap.GUE(ki), x)
     return _painleve.piv_f(float(k), float(x))
 
 
@@ -103,7 +103,7 @@ def ginibre_edge(n: int, k: float, z: complex) -> float:
 
 def bulk_two_charge(n, k1, k2, z, u1, u2) -> float:
     """ln of the two-charge bulk collision expansion at z_i = z + u_i/sqrt(N);
-    k1 may be real (>= k2), k2 is an integer determinant size."""
+    k1 may be real (>= k2), k2 is an integer (LUE) determinant size."""
     if k2 > k1:
         k1, k2 = k2, k1
         u1, u2 = u2, u1
@@ -111,15 +111,13 @@ def bulk_two_charge(n, k1, k2, z, u1, u2) -> float:
         if k1 == 0:
             return 0.0
         return bulk_interior(n, 2.0 * k1, complex(z) + complex(u1) / math.sqrt(n))
-    k2i = int(round(k2))
-    if abs(k2 - k2i) > 1e-12 or k2i < 1:
-        raise ValueError("the smaller exponent k2 must be a nonnegative integer")
+    lue = _gap.LUE(k2, float(k1 - k2))
     z = complex(z)
     rn = math.sqrt(n)
     z1 = z + complex(u1) / rn
     z2 = z + complex(u2) / rn
     sep2 = abs(complex(u2) - complex(u1)) ** 2
-    f = _gap.gap_cdf(_gap.LUE(k2i, float(k1 - k2i)), sep2)
+    f = _gap.gap_cdf(lue, sep2)
     return float(
         k1 * n * (abs(z1) ** 2 - 1.0)
         + k2 * n * (abs(z2) ** 2 - 1.0)

@@ -123,29 +123,25 @@ def cmd_painleve(args) -> RunReport:
     if args.family == "p4":
         fam, t0 = pain.PIV(args.k), None  # one boundary-value solve, no seed point
         sol = pain.piv_solution(args.k)
-        f = pain.piv_f(args.k, args.x, tol=args.tol)
+        log_f = pain.piv_log_f(args.k, args.x, tol=args.tol)
     else:  # seeded at t0 = x/2 < x, so F is transported, not read at its seed
         fam = (pain.PV(args.k, args.alpha) if args.family == "p5"
                else pain.pvi_from_jue(args.k, args.alpha, args.beta))
         t0 = 0.5 * args.x
         sol = pain.solve_span(fam, pain.init_from_gap(fam, t0), t0, args.x, tol=args.tol)
-        f = pain.F_from_sigma(fam, sol, args.x)
+        log_f = sol.log_f(args.x)
     try:
         ens = pain.gap_ensemble(fam)
     except ValueError:  # PIV at a non-integer k has no gap ensemble
         ens = None
-    ref = gapmod.gap_cdf(ens, args.x) if ens is not None else None
     route = {"p4": "piv-ode", "p5": "pv-ode", "p6": "pvi-ode"}[args.family]
-    rep.outputs.append(
-        _record("F", route, math.log(f) if f > 0 else None,
-                {"value": f, "max_residual": sol.max_residual, "nfev": sol.nfev, "t0": t0})
-    )
-    if ref is not None:
-        rep.outputs.append(_record("F", "gap-determinant", math.log(ref) if ref > 0 else None,
-                                   {"value": ref}))
-        rep.checks.append(
-            asdict(_result("ode_vs_determinant", abs(f - ref), max(1e-6, 10 * args.tol)))
-        )
+    rep.outputs.append({**_probability_record("F", route, log_f),
+                        "max_residual": sol.max_residual, "nfev": sol.nfev, "t0": t0})
+    if ens is not None:  # compared in ln F, so that a tiny F keeps its relative error
+        log_ref = gapmod.log_gap_cdf(ens, args.x)
+        rep.outputs.append(_probability_record("F", "gap-determinant", log_ref))
+        rep.checks.append(asdict(_result("ode_vs_determinant", abs(log_f - log_ref),
+                                         max(1e-6, 10 * args.tol))))
     return rep
 
 
@@ -238,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, n=True):
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--tol", type=float, default=1e-7)
         if n:
             sp.add_argument("--n", type=int, required=True, help="matrix size N")
 
@@ -267,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add_parser("painleve", help="sigma-form solves and F reconstruction")
     common(sp, n=False)
+    sp.add_argument("--tol", type=float, default=1e-7)
     sp.add_argument("--family", choices=["p4", "p5", "p6"], required=True)
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--alpha", type=float, default=0.0)

@@ -10,7 +10,6 @@ exp(N k |z|^2) and would overflow otherwise.
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +19,8 @@ from scipy.linalg import cholesky_banded
 from . import confluent as _confluent
 from . import gap as _gap
 from . import painleve as _painleve
-from .specfun import log_gamma_ratio
+from .ensembles import Ginibre, InducedGinibre, TruncatedCUE
+from .specfun import integer, log_gamma_ratio
 
 __all__ = [
     "GinibreWeight",
@@ -45,38 +45,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GinibreWeight:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("GinibreWeight requires n >= 1")
-
-
-@dataclass(frozen=True)
-class InducedGinibre:
-    n: int
-    gamma1: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("InducedGinibre requires n >= 1")
-        if self.gamma1 < 0:
-            raise ValueError("InducedGinibre requires gamma1 >= 0")
-
-
-@dataclass(frozen=True)
-class TruncatedCUEWeight:
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.n < self.m:
-            raise ValueError("TruncatedCUEWeight requires 1 <= n < m")
-
-
-RadialWeightSpec = GinibreWeight | InducedGinibre | TruncatedCUEWeight
+# one class per matrix model, in ``ensembles``; the *Weight names are aliases
+GinibreWeight, TruncatedCUEWeight = Ginibre, TruncatedCUE
+RadialWeightSpec = Ginibre | InducedGinibre | TruncatedCUE
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +95,8 @@ def ginibre_moment_exact(n: int, k: int, z: complex) -> float:
     (200, 4, 1.2 and 1.4), (64, 4, 1.23), (200, 5, 0.81) and (64, 8, 1.3), and
     within 1.3e-10 of the Gram route (``ginibre_moment_toeplitz``) there at k <= 4.
     """
-    if n < 1 or k < 1:
-        raise ValueError("ginibre_moment_exact requires n >= 1 and k >= 1")
+    Ginibre(n)  # refuses n < 1
+    k = _gap.LUE(k, float(n)).k  # refuses a size k that is not a positive integer
     az2 = abs(complex(z)) ** 2
     return float(
         -n * k * math.log(n)
@@ -171,8 +142,8 @@ def _angular_coeffs(gamma: float, rho: np.ndarray, y: np.ndarray, n: int) -> lis
     |m-1-g| < 1/4; seeds at small y = 1-rho^2 come from y, except within 1e-3
     of an odd gamma > -1, where 15.8.4 cancels and scipy's hyp2f1 holds."""
     g = 0.5 * gamma
-    if gamma % 2 == 0:
-        top, hi, lo = int(g), 0.0 * y, 1.0 + 0.0 * y
+    if (top := integer(g)) is not None:
+        hi, lo = 0.0 * y, 1.0 + 0.0 * y
     else:
         offset_form = gamma <= -1.0 or abs((gamma - 1.0) % 2.0 - 1.0) < 0.999
         top, near = n - 1, y < (min(0.1, 3.0 / n) if offset_form else 0.0)
@@ -214,7 +185,7 @@ def _log_gram_det(weight: RadialWeightSpec, gamma: float, z: complex) -> float:
     1e-3 (15.8.4 loses 1/|gamma + 1|; -1 itself is exact).  At the tCUE edge
     (N >= 400, ||z| - 1| <= 0.05) gamma = 4 stays 1e-9 to 3e-8 off: round-off."""
     n, c = weight.n, abs(complex(z))
-    even, tcue = gamma % 2 == 0, isinstance(weight, TruncatedCUEWeight)
+    even, tcue = integer(0.5 * gamma) is not None, isinstance(weight, TruncatedCUE)
     if (gamma < -1.95 or 0.0 < abs(gamma + 1.0) < 1e-3 or (not even and n > 64)
             or (tcue and n >= 400 and abs(c - 1.0) <= 0.05)
             or (even and gamma >= 6 and n > 2.0 ** (8 - gamma / 2)
@@ -269,12 +240,12 @@ def _log_gram_det(weight: RadialWeightSpec, gamma: float, z: complex) -> float:
 
 def ginibre_moment_toeplitz(n: int, gamma: float, z: complex) -> float:
     """ln E|det(G_N - z)|^gamma by the Gram route (``_log_gram_det``)."""
-    return _log_gram_det(GinibreWeight(n), gamma, z)
+    return _log_gram_det(Ginibre(n), gamma, z)
 
 
 def tcue_moment_toeplitz(m: int, n: int, gamma: float, z: complex) -> float:
     """ln E|det(T - z)|^gamma, T the N x N truncation of Haar U(M), by the Gram route."""
-    return _log_gram_det(TruncatedCUEWeight(m, n), gamma, z)
+    return _log_gram_det(TruncatedCUE(m, n), gamma, z)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +276,13 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex) -> float:
     fam = _painleve.PV(0.5 * gamma, float(n))
 
     def logp(t):  # the Gram moment over its z = 0 value and e^{gamma t/2}
-        return _log_gram_det(GinibreWeight(n), gamma, (t / n) ** 0.5) - log_r0 - 0.5 * gamma * t
+        return _log_gram_det(Ginibre(n), gamma, (t / n) ** 0.5) - log_r0 - 0.5 * gamma * t
 
+    # ln P(0) = 0, so the step need not shrink with t_ref: the relative
+    # default step puts up to 3.4e-9 of round-off into x < 1
     t_ref = x * n / (n + 3.0)
-    sol = _painleve.solve_span(fam, _painleve.sigma_data(fam, logp, t_ref), t_ref, x, tol=1e-7)
+    init = _painleve.sigma_data(fam, logp, t_ref, min(4e-3 * max(1.0, t_ref), t_ref / 4.5))
+    sol = _painleve.solve_span(fam, init, t_ref, x, tol=1e-7)
     return log_r0 + 0.5 * gamma * x + math.log(_painleve.F_from_sigma(fam, sol, x))
 
 
@@ -327,18 +301,17 @@ def tcue_moment_exact(m: int, n: int, k: int, x: complex, y: complex) -> float:
     Hankel itself in v = ln t, where every column rises to v = 0.  Within
     5e-12 of 80-digit mpmath Hankels for M <= 802, N <= 800, k <= 4, |z| <= 3.
     """
-    if not 1 <= n < m:
-        raise ValueError("requires 1 <= n < m")
-    if k < 1:
-        raise ValueError("requires k >= 1")
+    TruncatedCUE(m, n)  # refuses sizes outside 1 <= n < m
     q = complex(x) * complex(y)
     if q.imag != 0.0 or q.real < 0.0:
         raise ValueError("tcue_moment_exact requires a real xy >= 0")
     kap, q = m - n, q.real
+    jue = _gap.JUE(k, float(kap), float(n))  # refuses a size k that is not a positive integer
+    k = jue.k
     if q < 1.0:
         u = 1.0 - q
         return float(log_c_mnk(m, n, k) - (k * kap + k * k) * math.log(u)
-                     + _gap.log_gap_cdf(_gap.JUE(k, float(kap), float(n)), u))
+                     + _gap.log_gap_cdf(jue, u))
 
     def weight(v):
         t = np.exp(v)
@@ -415,7 +388,7 @@ def lemniscate_partition(n: int, d: int, t: float) -> float:
         raise ValueError("requires t >= 0")
     out = (n * t * d) ** 2 + log_c_lemniscate(n, d) + d * log_z_ginibre(n)
     for g in lemniscate_gamma_exponents(d):
-        out += _log_gram_det(GinibreWeight(n), g, t * math.sqrt(d))
+        out += _log_gram_det(Ginibre(n), g, t * math.sqrt(d))
     return float(out)
 
 
@@ -426,7 +399,7 @@ def lemniscate_partition(n: int, d: int, t: float) -> float:
 def _kernel_coeffs(w: RadialWeightSpec, nterms: int) -> np.ndarray:
     """ln(1/h_j) for j = 0..nterms-1 (B(x,y) = sum_j x^j y^j / h_j)."""
     j = np.arange(nterms, dtype=float)
-    if isinstance(w, GinibreWeight):
+    if isinstance(w, Ginibre):
         return (j + 1.0) * math.log(w.n) - math.log(math.pi) - _sp.gammaln(j + 1.0)
     if isinstance(w, InducedGinibre):
         return (
@@ -434,7 +407,7 @@ def _kernel_coeffs(w: RadialWeightSpec, nterms: int) -> np.ndarray:
             - math.log(math.pi)
             - _sp.gammaln(j + w.gamma1 + 1.0)
         )
-    if isinstance(w, TruncatedCUEWeight):
+    if isinstance(w, TruncatedCUE):
         kap = w.m - w.n
         return (
             _sp.gammaln(j + kap + 1.0)
@@ -454,12 +427,12 @@ def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
     """
     pts, ks = [], []
     for z, g in zip(charges.points, charges.exponents):
-        half = 0.5 * g
-        if half < 0 or abs(half - round(half)) > 1e-12:
+        half = integer(0.5 * g)
+        if half is None or half < 0:
             raise ValueError("correlator_finiteN needs nonnegative even integer exponents")
-        if round(half) > 0:
+        if half > 0:
             pts.append(complex(z))
-            ks.append(int(round(half)))
+            ks.append(half)
     k = sum(ks)
     if k == 0:
         return 0.0  # empty product of characteristic polynomials

@@ -33,6 +33,7 @@ from .linalg import logdet_batch
 
 __all__ = [
     "Ginibre",
+    "InducedGinibre",
     "default_log_shift",
     "TruncatedCUE",
     "EnsembleSpec",
@@ -49,6 +50,8 @@ _BLOCK = 1 << 18  # Gaussian entries drawn per chunk at most: 4 MB complex
 
 @dataclass(frozen=True)
 class Ginibre:
+    """N x N complex Ginibre, eigenvalue weight e^{-N |lam|^2}."""
+
     n: int
 
     def __post_init__(self):
@@ -57,18 +60,32 @@ class Ginibre:
 
 
 @dataclass(frozen=True)
+class InducedGinibre:
+    """Induced Ginibre, eigenvalue weight |lam|^{2 gamma1} e^{-N |lam|^2}."""
+
+    n: int
+    gamma1: float
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("InducedGinibre requires n >= 1")
+        if self.gamma1 < 0:
+            raise ValueError("InducedGinibre requires gamma1 >= 0")
+
+
+@dataclass(frozen=True)
 class TruncatedCUE:
+    """N x N truncation of Haar U(M), eigenvalue weight (1 - |lam|^2)^{M-N-1}."""
+
     m: int
     n: int
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("TruncatedCUE requires positive sizes")
-        if self.n >= self.m:
-            raise ValueError("TruncatedCUE requires n < m (proper truncation)")
+        if not 1 <= self.n < self.m:
+            raise ValueError("TruncatedCUE requires 1 <= n < m")
 
 
-EnsembleSpec = Ginibre | TruncatedCUE
+EnsembleSpec = Ginibre | TruncatedCUE  # the models mc_moment samples
 
 
 @dataclass(frozen=True)
@@ -292,6 +309,8 @@ def mc_moment(
     order, independent of the worker count.  A Ginibre chunk is one
     elimination chain over all the charges (module docstring).
     """
+    if not isinstance(spec, (Ginibre, TruncatedCUE)):
+        raise ValueError(f"mc_moment has no sampler for {spec!r}")
     if n_samples < 2:
         raise ValueError("mc_moment requires n_samples >= 2")
     if log_shift is None:

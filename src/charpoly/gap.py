@@ -21,7 +21,7 @@ from scipy import integrate as _integrate
 from scipy import special as _sp
 from scipy.linalg import lapack as _lapack
 
-from .specfun import log_gamma_ratio
+from .specfun import integer, log_gamma_ratio
 
 __all__ = [
     "GUE",
@@ -36,13 +36,21 @@ __all__ = [
 ]
 
 
+def _validate(e) -> None:
+    """Store e.k as an int; refuse a size that is not a positive integer and
+    a weight exponent alpha or beta <= -1."""
+    if (k := integer(e.k)) is None or k < 1:
+        raise ValueError(f"{type(e).__name__} requires an integer size k >= 1, got {e.k}")
+    if min(getattr(e, "alpha", 0.0), getattr(e, "beta", 0.0)) <= -1:
+        raise ValueError(f"{type(e).__name__} requires weight exponents alpha, beta > -1")
+    object.__setattr__(e, "k", k)
+
+
 @dataclass(frozen=True)
 class GUE:
     k: int
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("GUE requires k >= 1")
+    __post_init__ = _validate
 
 
 @dataclass(frozen=True)
@@ -50,11 +58,7 @@ class LUE:
     k: int
     alpha: float
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("LUE requires k >= 1")
-        if self.alpha <= -1:
-            raise ValueError("LUE requires alpha > -1")
+    __post_init__ = _validate
 
 
 @dataclass(frozen=True)
@@ -63,11 +67,7 @@ class JUE:
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("JUE requires k >= 1")
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("JUE requires alpha > -1 and beta > -1")
+    __post_init__ = _validate
 
 
 GapEnsemble = GUE | LUE | JUE

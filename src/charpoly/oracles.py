@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .ensembles import ChargeConfiguration, _complex_normal, _haar_columns, _rng
+from .specfun import integer
 
 __all__ = [
     "planar_moment_ginibre",
@@ -68,7 +69,7 @@ def _pick_center(charges: ChargeConfiguration):
     rough = [
         (z, i, g)
         for i, (z, g) in enumerate(zip(charges.points, charges.exponents))
-        if abs(0.5 * g - round(0.5 * g)) > 1e-12
+        if integer(0.5 * g) is None
     ]
     if len(rough) > 1:
         raise ValueError("at most one non-even exponent is supported")

@@ -57,6 +57,7 @@ __all__ = [
     "solve_span",
     "F_from_sigma",
     "piv_solution",
+    "piv_log_f",
     "piv_f",
     "p5_to_p4_residual",
     "p6_to_p5_residual",
@@ -266,12 +267,6 @@ def log_derivatives(fn: Callable[[float], float], t0: float, h: float):
     return f[0], d1, d2, d3
 
 
-def _require_int(k: float, what: str) -> int:
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
-        raise ValueError(f"{what} requires a positive integer size, got {k}")
-    return int(round(k))
-
-
 def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
                h: Optional[float] = None) -> SigmaInit:
     """Initial data (t0, sigma, sigma', sigma'' hint) from Richardson
@@ -279,17 +274,18 @@ def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
     transports (``transport_integrand`` is d ln F/dt):
     PIV sigma = (ln F)';  PV sigma = t (ln F)';
     PVI sigma = t(1-t) (ln F)' + b1 b2 t - (b1 b2 + b3 b4)/2.
-    The default step h is 4e-3 max(1, |t0|) for PIV, the same capped at
-    t0/4.5 for PV, and 4e-3 min(t0, 1 - t0) for PVI.  The sigma'' hint
+    The default step h is 4e-3 of the distance from t0 to the nearest
+    singular point of the sigma-form, where a gap probability's ln F has a
+    log singularity: 4e-3 t0 for PV and 4e-3 min(t0, 1 - t0) for PVI; PIV
+    has none, and takes 4e-3 max(1, |t0|).  The sigma'' hint
     selects the root branch.  Refuses t0 outside the family's domain and an
     F that is identically 1 at t0 (ValueError), and an F that underflows
     there (FloatingPointError).
     """
     _check_domain(f, t0)
     if h is None:
-        h = 4e-3 * (min(t0, 1.0 - t0) if isinstance(f, PVI) else max(1.0, abs(t0)))
-        if isinstance(f, PV):
-            h = min(h, t0 / 4.5)
+        h = 4e-3 * (max(1.0, abs(t0)) if isinstance(f, PIV)
+                    else min(t0, 1.0 - t0) if isinstance(f, PVI) else t0)
     L0, L1, L2, L3 = log_derivatives(logp, t0, h)
     if L0 < math.log(1e-300):
         raise FloatingPointError(f"probability underflows at t0={t0} (log P = {L0:.1f})")
@@ -313,14 +309,13 @@ def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
 def gap_ensemble(f: SigmaFamily):
     """The gap ensemble whose largest-eigenvalue CDF the family transports:
     GUE(k) for PIV, LUE(k, alpha) for PV and the JUE of ``jue_from_pvi`` for
-    PVI.  Its size must be a positive integer (ValueError otherwise)."""
+    PVI.  The ensemble refuses a size that is not a positive integer."""
     if isinstance(f, PIV):
-        return _gap.GUE(_require_int(f.k, "the PIV gap ensemble"))
+        return _gap.GUE(f.k)
     if isinstance(f, PV):
-        return _gap.LUE(_require_int(f.k, "the PV gap ensemble"), f.alpha)
+        return _gap.LUE(f.k, f.alpha)
     if isinstance(f, PVI):
-        kr, alpha, beta = jue_from_pvi(f)
-        return _gap.JUE(_require_int(kr, "the PVI gap ensemble"), alpha, beta)
+        return _gap.JUE(*jue_from_pvi(f))
     raise TypeError(f"unknown family {f!r}")
 
 
@@ -403,7 +398,10 @@ class SigmaSolution:
         return self._segment(t).state(t)
 
     def log_f(self, t: float) -> float:
-        """ln F at t (within the covered span), from its segment's anchor."""
+        """ln F at t (within the covered span), from its segment's anchor;
+        right of t = 8 a PIV solution gives its closed-form tail."""
+        if self._piv_tail is not None and t >= _PIV_SPAN[1]:
+            return _piv_log_tail(self.family.k, self._piv_tail, t)
         return self._segment(t).log_f(t)
 
 
@@ -485,6 +483,7 @@ def _check_residual(sol: SigmaSolution, tol: float) -> SigmaSolution:
 _PIV_SPAN = (-16.0, 8.0)  # the left series holds left of it, the linear tail right
 _PIV_TOL, _PIV_BC_TOL, _PIV_NODES, _PIV_MAX_NODES = 1e-9, 1e-13, 500, 10_000
 _PIV_CONTINUE = -0.6  # below it the k sigma_1 guess fails; continue in k instead
+_PIV_ORDERS = (-0.985, 8.35)  # every order measured in here converges (piv_solution)
 
 
 def _piv_tail_g(k: float, t: float):
@@ -537,7 +536,7 @@ def _piv_guess(k: float, t: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def piv_solution(k: float) -> SigmaSolution:
     """The PIV solution matching the left asymptote -kt - k^2/t, for real
-    k > -1, cached per order.
+    k in [-0.985, 8.35] (the mathematical domain is k > -1), cached per order.
 
     One ``solve_bvp`` on [-16, 8] (tol 1e-9, bc_tol 1e-13, from 500 uniform
     nodes): sigma(-16) from the left series (``_piv_left``), and at t = 8
@@ -547,14 +546,18 @@ def piv_solution(k: float) -> SigmaSolution:
     of 8, F is the closed-form tail with amplitude a = sigma(8)/g(8).  The
     amplitude is read where sigma(8) is about 1e-15 (k = 1), so it is good
     only to about 2e-4 relative (0.39903 against 1/sqrt(2 pi) = 0.39894 at
-    k = 1); it affects F only for x >= 8.  A solve that does not converge
-    raises SolveError (k = 10 and k = -0.99 do not), k <= -1 ValueError.
-    The node residual is in ``max_residual``; ``piv_f`` checks it against
-    its caller's tolerance.
+    k = 1); it affects F only for x >= 8.
+
+    Envelope: on a k grid fixed in advance (steps 0.005 from -0.999, 0.05
+    from -0.95, 0.025 from 8 to 10) the solve converges from k = -0.985 to
+    8.35 (node residuals below 1.9e-9) and nowhere outside, where it spends
+    0.2-1.2 s before its node cap.  Other orders raise ValueError; a failed
+    solve inside raises SolveError.
     """
     k = float(k)
-    if k <= -1.0:
-        raise ValueError(f"PIV connection solution needs k > -1, got {k}")
+    if not _PIV_ORDERS[0] <= k <= _PIV_ORDERS[1]:
+        raise ValueError(f"PIV connection solution needs k > -1, and converges only for "
+                         f"{_PIV_ORDERS[0]} <= k <= {_PIV_ORDERS[1]}; got {k}")
     (lo, hi), f = _PIV_SPAN, PIV(k)
     mesh = np.linspace(lo, hi, _PIV_NODES)
     guess = (piv_solution(min(2.0 * k + 1.0, _PIV_CONTINUE))._segments[0].dense(mesh)
@@ -593,25 +596,26 @@ def _piv_log_tail(k: float, a: float, x: float) -> float:
     return -a * math.exp(val)
 
 
-def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
-    """F_k(x) = exp(-int_x^inf sigma_IV) for real k > -1, read from the
-    cached ``piv_solution(k)``; raises SolveError if its node residual
-    exceeds tol.  Left of -16, ln F is ln F(-16) minus the left series
-    integrated in closed form, and SolveError is raised where that series'
-    error estimate exceeds tol.
+def piv_log_f(k: float, x: float, tol: float = 1e-8) -> float:
+    """ln F_k(x) = -int_x^inf sigma_IV for real k in the envelope of
+    ``piv_solution``, read from the cached solution; raises SolveError if its
+    node residual exceeds tol.  Left of -16, ln F is ln F(-16) minus the left
+    series integrated in closed form, and SolveError is raised where that
+    series' error estimate exceeds tol.
 
     At k = 1, 2, 3 and 4, ln F is within 3.2e-10 of the GUE(k) law on
-    [-14, 8], and so it is at x = -20 for k = 1 to 3 (at k = 4 both
-    underflow there).  The node residual is 2e-13 to 1.1e-12 from
-    k = -0.95 to 4."""
+    [-14, 8] and at x = -20, where F underflows at k = 4 and ln F does not.
+    The node residual is 2e-13 to 1.1e-12 from k = -0.95 to 4."""
     k, lo = float(k), _PIV_SPAN[0]
     integral, err = _piv_left(k, x)[1:] if x < lo else (0.0, 0.0)
     if err > tol:
         raise SolveError(f"left series error {err:.3e} exceeds tol={tol} at x={x}, k={k}")
-    sol = _check_residual(piv_solution(k), tol)
-    if x >= lo:
-        return F_from_sigma(PIV(k), sol, x)
-    return math.exp(sol.log_f(lo) - integral)
+    return _check_residual(piv_solution(k), tol).log_f(max(x, lo)) - integral
+
+
+def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
+    """F_k(x) = exp(``piv_log_f(k, x, tol)``)."""
+    return math.exp(piv_log_f(k, x, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +624,9 @@ def piv_f(k: float, x: float, tol: float = 1e-8) -> float:
 
 def F_from_sigma(f: SigmaFamily, sol: SigmaSolution, x: float) -> float:
     """The transported probability exp(sol.log_f(x)): ln F at the anchor of
-    the segment holding x plus the family integrand integrated from there.
-    Right of t = 8 a PIV solution gives its closed-form tail instead.  An x
-    outside the solved span raises ValueError."""
-    if sol._piv_tail is not None and x >= _PIV_SPAN[1]:
-        return math.exp(_piv_log_tail(sol.family.k, sol._piv_tail, x))
+    the segment holding x plus the family integrand integrated from there,
+    or right of t = 8 a PIV solution's closed-form tail.  An x outside the
+    solved span raises ValueError."""
     return math.exp(sol.log_f(x))
 
 
@@ -641,12 +643,12 @@ def p5_to_p4_residual(gamma: float, n: int, s: float) -> float:
     """
     if gamma == 0.0:
         return 0.0
-    k = _require_int(gamma / 2.0, "p5_to_p4_residual")
     if n < 16:
         raise ValueError("requires N >= 16")
+    lue = _gap.LUE(gamma / 2.0, float(n))  # refuses a gamma/2 that is not a positive integer
     init = sigma_data(
         PV(gamma / 2.0, float(n)),
-        lambda t: _gap.log_lue_tail(k, float(n), t),
+        lambda t: _gap.log_lue_tail(lue.k, lue.alpha, t),
         n - math.sqrt(n) * s,
         0.05 * math.sqrt(n),
     )
@@ -665,14 +667,12 @@ def p6_to_p5_residual(k: float, kappa: float, n: int, t: float) -> float:
     """
     if k == 0.0:
         return 0.0
-    ki = _require_int(k, "p6_to_p5_residual")
+    jue = _gap.JUE(k, kappa, float(n))  # refuses a k that is not a positive integer
     x = t / n
     if not 0.0 < x < 1.0:
         raise ValueError("t/N must lie in (0, 1)")
     h = min(x, 1.0 - x) / 9.0
-    L0, L1, L2, L3 = log_derivatives(
-        lambda u: _gap.log_gap_cdf(_gap.JUE(ki, kappa, float(n)), u), x, h
-    )
+    L0, L1, L2, L3 = log_derivatives(lambda u: _gap.log_gap_cdf(jue, u), x, h)
     v = x * (1 - x) * L1
     vp = ((1 - 2 * x) * L1 + x * (1 - x) * L2) / n
     vpp = (x * (1 - x) * L3 + 2 * (1 - 2 * x) * L2 - 2 * L1) / (n * n)

@@ -1,5 +1,5 @@
-"""Scalar special functions: Barnes G, ratios of Gamma functions and the
-upper incomplete gamma in log form, and the complementary error function.
+"""Scalar special functions: Barnes G, Gamma ratios and the upper incomplete
+gamma in log form, erfc, and the one integer test of exponents and sizes.
 
 Everything ensemble-sized is exposed in log form so that constants remain
 finite for matrix orders up to ~10^3.
@@ -11,11 +11,20 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
+    "integer",
     "log_barnes_g",
     "log_gamma_ratio",
     "erfc",
     "erfc_complex",
 ]
+
+
+def integer(x: float) -> int | None:
+    """round(x) if x is within 1e-12 relative of it, else None; the slack
+    covers one-ulp round trips such as ``jue_from_pvi``'s b1 - b3."""
+    r = round(x)
+    return int(r) if abs(x - r) <= 1e-12 * max(1.0, abs(x)) else None
+
 
 # zeta'(-1) = 1/12 - log(Glaisher constant)
 _ZETA_PRIME_MINUS_ONE = -0.16542114370045092921391966024278064276

@@ -28,6 +28,7 @@ from . import gap as gapmod
 from . import oracles
 from . import painleve as pain
 from .ensembles import ChargeConfiguration, Ginibre, TruncatedCUE, mc_moment, worker_count
+from .specfun import integer
 
 __all__ = ["CheckResult", "RunReport", "run_verification_suite", "CHECKS", "moment_routes",
            "first_route", "EXPANSIONS", "TRENDS"]
@@ -118,15 +119,16 @@ def moment_routes(ensemble: str, n: int, gamma: float, z: complex, m=None):
     for A Ginibre ("ginibre") or the N x N truncation of Haar U(M) ("tcue").
     The exact dualities are listed only when gamma/2 is a positive integer;
     a thunk raises ValueError outside its route's domain."""
-    half = 0.5 * float(gamma)
-    k = int(half) if half.is_integer() and half >= 1 else None
+    k = integer(0.5 * gamma)
     if ensemble == "ginibre":
-        exact = [("exact", lambda: dual.ginibre_moment_exact(n, k, z))]
-        return (exact if k else []) + [("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z))]
-    if m is None:
+        routes = [("exact", lambda: dual.ginibre_moment_exact(n, k, z)),
+                  ("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z))]
+    elif m is None:
         raise ValueError("--m is required for the truncated CUE")
-    exact = [("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate()))]
-    return (exact if k else []) + [("gram", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z))]
+    else:
+        routes = [("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate())),
+                  ("gram", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z))]
+    return routes if k is not None and k >= 1 else routes[1:]
 
 
 def first_route(routes):
@@ -146,18 +148,18 @@ def _pair_correlator(p, k1, k2, step=1.0):
     finite-N correlator."""
     rn = math.sqrt(p.n)
     return "correlator", dual.correlator_finiteN(
-        dual.GinibreWeight(p.n),
+        Ginibre(p.n),
         ChargeConfiguration((p.z + step * p.u1 / rn, p.z + step * p.u2 / rn),
                             (2.0 * k1, 2.0 * k2)),
     )
 
 
 def _tcue_edge_moment(p):
-    """The truncated-CUE moment at M = N + kappa, |z| = 1 - u1/N (k = 0 reads as 1)."""
-    if not float(p.kappa).is_integer():
+    """The truncated-CUE moment at M = N + kappa, |z| = 1 - u1/N."""
+    kappa = integer(p.kappa)
+    if kappa is None:
         raise ValueError("the tcue-edge reference needs an integer kappa = M - N")
-    zz = 1.0 - p.u1 / p.n
-    return first_route(moment_routes("tcue", p.n, 2.0 * (int(p.k) or 1), zz, m=p.n + int(p.kappa)))
+    return first_route(moment_routes("tcue", p.n, 2.0 * p.k, 1.0 - p.u1 / p.n, m=p.n + kappa))
 
 
 # expansion -> (its log, (label, log) of its finite-N reference), each a
@@ -170,7 +172,7 @@ EXPANSIONS = {
              lambda p: first_route(moment_routes("ginibre", p.n, 2.0 * p.k, p.z))),
     "exterior": (lambda p: asym.ginibre_exterior(p.n, p.k, p.z),
                  lambda p: first_route(moment_routes("ginibre", p.n, 2.0 * p.k, p.z))),
-    "two-charge": (lambda p: asym.bulk_two_charge(p.n, p.k, int(p.k2), p.z, p.u1, p.u2),
+    "two-charge": (lambda p: asym.bulk_two_charge(p.n, p.k, p.k2, p.z, p.u1, p.u2),
                    lambda p: _pair_correlator(p, p.k, p.k2)),
     "bulk-multi": (
         lambda p: asym.bulk_multi(p.n, p.z, asym.EdgeVectors((p.u1, p.u2), (p.u1, p.u2))),
@@ -178,7 +180,7 @@ EXPANSIONS = {
     "edge-multi": (
         lambda p: asym.edge_multi(p.n, p.z, asym.EdgeVectors((p.u1, p.u2), (p.u1, p.u2))),
         lambda p: _pair_correlator(p, 1.0, 1.0, -1.0 / complex(p.z).conjugate())),
-    "tcue-edge": (lambda p: asym.tcue_edge(p.n, p.kappa, int(p.k) or 1, p.u1), _tcue_edge_moment),
+    "tcue-edge": (lambda p: asym.tcue_edge(p.n, p.kappa, p.k, p.u1), _tcue_edge_moment),
 }
 
 
@@ -345,7 +347,7 @@ def check_tcue(level: str, seed: int):
     )
     out.append(_result("c08_mc_c211", est2.sigmas(math.log(0.5)), 3.0, "E|T_11|^2 = 1/2"))
     a = dual.tcue_moment_exact(6, 4, 2, 0.5, 0.5)
-    b = dual.correlator_finiteN(dual.TruncatedCUEWeight(6, 4),
+    b = dual.correlator_finiteN(TruncatedCUE(6, 4),
                                 ChargeConfiguration((0.5,), (4.0,)))
     out.append(_result("c08_exact_vs_correlator", abs(a - b), 1e-10))
     worst = max(

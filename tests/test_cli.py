@@ -249,9 +249,16 @@ def test_empty_matrix_is_a_usage_error(capsys, argv):
     "argv",
     [
         ["painleve", "--family", "p4", "--k", "-1", "--x", "0"],
+        ["painleve", "--family", "p4", "--k", "10", "--x", "0"],
         ["exact", "--n", "100", "--gamma", "1.3", "--z", "0.45"],
+        # tcue-edge once read k as int(k) or 1 and printed the k = 1 answer
+        ["asym", "--expansion", "tcue-edge", "--n", "64", "--kappa", "1", "--u1", "0.7",
+         "--k", "1.3"],
+        ["asym", "--expansion", "tcue-edge", "--n", "64", "--kappa", "1", "--u1", "0.7",
+         "--k", "0.5"],
     ],
-    ids=["piv-order-minus-one", "exact-every-route-refuses"],
+    ids=["piv-order-minus-one", "piv-order-ten", "exact-every-route-refuses",
+         "tcue-edge-k1.3", "tcue-edge-k0.5"],
 )
 def test_out_of_domain_is_a_usage_error_with_one_line(capsys, argv):
     code = main(argv)
@@ -422,17 +429,21 @@ def test_painleve_subcommand(capsys):
 
 @pytest.mark.parametrize("args, x", [
     (["--family", "p5", "--k", "2", "--alpha", "1"], 3.0),
+    (["--family", "p5", "--k", "3", "--alpha", "3"], 0.05),
     (["--family", "p6", "--k", "1", "--alpha", "1", "--beta", "2"], 0.5),
     (["--family", "p6", "--k", "1", "--alpha", "1", "--beta", "2"], 0.995),
-], ids=["p5-x3", "p6-x0.5", "p6-x0.995"])
+], ids=["p5-x3", "p5-x0.05", "p6-x0.5", "p6-x0.995"])
 def test_painleve_p5_transports_f_from_below_x(capsys, args, x):
     # seeded at x itself (p5 at max(1, x), p6 at 0.5), F was the gap
-    # determinant and the check observed 0.0; p6 also refused x > 0.99
+    # determinant and the check observed 0.0; p6 also refused x > 0.99.
+    # At x = 0.05 a PV step of 4e-3 (t0/6) put ln F (-79.04) 3.4e-2 off,
+    # and the check, then on F itself, passed
     code, out = run_cli(capsys, "painleve", *args, "--x", str(x))
     assert code == 0
     doc = json.loads(out)
     ode, det = doc["outputs"]
     assert ode["t0"] < x and ode["value"] != det["value"]
+    assert abs(ode["log_value"] - det["log_value"]) < 1e-6
     assert doc["checks"][0]["name"] == "ode_vs_determinant" and doc["checks"][0]["passed"]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from charpoly.asymptotics import tcue_edge
 from charpoly.dualities import (
     GinibreWeight,
     InducedGinibre,
@@ -25,7 +26,7 @@ from charpoly.dualities import (
     tcue_moment_exact,
     tcue_moment_toeplitz,
 )
-from charpoly.ensembles import ChargeConfiguration
+from charpoly.ensembles import ChargeConfiguration, Ginibre, TruncatedCUE
 from charpoly.oracles import (
     haar_mc_hciz,
     lemniscate_partition_quadrature,
@@ -293,6 +294,26 @@ def test_tcue_exact_refuses_a_non_real_or_negative_xy(x, y):
 def test_empty_matrices_are_refused(make):
     with pytest.raises(ValueError, match="n >= 1|1 <= n < m"):
         make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: tcue_edge(64, 1, 1.3, 0.7), lambda: ginibre_moment_exact(8, 1.5, 0.5),
+     lambda: tcue_moment_exact(8, 6, 1.5, 0.5, 0.5)],
+    ids=["tcue-edge", "ginibre-exact", "tcue-exact"],
+)
+def test_determinant_routes_refuse_a_non_integer_size(make):
+    # each builds an LUE or JUE of size k, which refuses k = 1.3 or 1.5;
+    # these once raised TypeError from range(k)
+    with pytest.raises(ValueError, match="integer size k >= 1"):
+        make()
+
+
+def test_correlator_takes_the_ensemble_model():
+    cc = ChargeConfiguration((0.5,), (2.0,))
+    assert GinibreWeight is Ginibre and TruncatedCUEWeight is TruncatedCUE
+    assert correlator_finiteN(Ginibre(8), cc) == pytest.approx(
+        ginibre_moment_exact(8, 1, 0.5), abs=1e-10)
 
 
 def test_tcue_toeplitz_matches_exact():

@@ -9,6 +9,7 @@ from charpoly.dualities import GinibreWeight, correlator_finiteN, ginibre_moment
 from charpoly.ensembles import (
     ChargeConfiguration,
     Ginibre,
+    InducedGinibre,
     MCEstimate,
     TruncatedCUE,
     _BLOCK,
@@ -48,6 +49,16 @@ def test_spec_validation():
         Ginibre(0)
     with pytest.raises(ValueError):
         TruncatedCUE(4, 4)
+
+
+def test_mc_moment_takes_the_dualities_name_of_a_model():
+    cc = ChargeConfiguration((0.5,), (2.0,))
+    assert mc_moment(GinibreWeight(8), cc, 3000, 4) == mc_moment(Ginibre(8), cc, 3000, 4)
+
+
+def test_mc_moment_refuses_a_model_it_cannot_sample():
+    with pytest.raises(ValueError, match="no sampler"):
+        mc_moment(InducedGinibre(8, 1.0), ChargeConfiguration((0.5,), (2.0,)), 1000, 1)
 
 
 def _hessenberg_model(n, count, rng):

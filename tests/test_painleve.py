@@ -13,6 +13,7 @@ from charpoly.painleve import (
     F_from_sigma,
     SigmaInit,
     SolveError,
+    gap_ensemble,
     heqn_lhs,
     heqn_params,
     init_from_gap,
@@ -193,9 +194,19 @@ def test_piv_solution_refuses_order_at_or_below_minus_one():
             piv_f(k, 0.0)
 
 
-def test_piv_solve_that_does_not_converge_raises():
+def test_piv_solve_that_does_not_converge_raises(monkeypatch):
+    # inside the order envelope a failed solve stays a SolveError: here the
+    # node cap is cut below the 1,200 or more nodes that k = 1 needs
+    monkeypatch.setattr(painleve, "_PIV_MAX_NODES", 600)
     with pytest.raises(SolveError, match="boundary-value solve failed"):
-        piv_solution.__wrapped__(10.0)
+        piv_solution.__wrapped__(1.0)
+
+
+@pytest.mark.parametrize("k", [-0.99, 8.5, 10.0])
+def test_piv_solution_refuses_orders_outside_its_envelope(k):
+    # these spent 0.2-1.2 s before the solve gave up at its node cap
+    with pytest.raises(ValueError, match="converges only for"):
+        piv_solution.__wrapped__(k)
 
 
 @pytest.mark.parametrize("k", [1.0, -0.5])
@@ -322,6 +333,11 @@ def test_pvi_parameter_maps():
     fam = pvi_from_jue(1.0, 1.0, 2.0)
     assert fam.b == (2.5, 2.5, 1.5, 0.5)
     assert jue_from_pvi(fam) == pytest.approx((1.0, 1.0, 2.0))
+    # b1 - b3 comes back one ulp off 1 here; the JUE still has size 1
+    fam = pvi_from_jue(1.0, 0.1, 2.0)
+    assert jue_from_pvi(fam)[0] != 1.0 and gap_ensemble(fam).k == 1
+    with pytest.raises(ValueError, match="integer size"):
+        gap_ensemble(pvi_from_jue(1.5, 0.1, 2.0))
 
 
 def test_heqn_change_of_variable_identity():

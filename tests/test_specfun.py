@@ -4,7 +4,8 @@ import mpmath
 import pytest
 from scipy import integrate
 
-from charpoly.specfun import _log_upper_gamma_cf, erfc, erfc_complex, log_barnes_g, log_gamma_ratio
+from charpoly.specfun import (_log_upper_gamma_cf, erfc, erfc_complex, integer, log_barnes_g,
+                              log_gamma_ratio)
 
 
 def test_barnes_g_integers():
@@ -82,3 +83,10 @@ def test_log_gamma_ratio_matches_mpmath(a, b):
     with mpmath.workdps(50):
         want = float(mpmath.loggamma(a) - mpmath.loggamma(b))
     assert abs(log_gamma_ratio(a, b) - want) <= 1e-15 * max(1.0, abs(want))
+
+
+def test_integer_tolerates_1e12_relative():
+    assert integer(2.0) == 2 and integer(-3.0) == -3 and integer(0.0) == 0
+    assert integer(3.0 + 4e-16) == 3 and integer(1e4 * (1.0 + 5e-13)) == 10_000
+    assert integer(2.5) is None and integer(2.0 + 1e-11) is None
+    assert type(integer(4.0)) is int
