@@ -14,11 +14,15 @@ and above the diagonal, subdiagonal sqrt(Gamma(N - 1 - j, 1) / N)
 (Dumitriu and Edelman, arXiv:math-ph/0206043).  The pivoted LU of H - z
 reads each column of H once, through the row it carries, so m charges
 need only m jointly Gaussian entries per column (_elimination_chain): a
-sample draws N m Gaussians and N - 1 gammas and costs O(N m^2).
+sample draws N m Gaussians and N - 1 gammas and costs O(N m^2).  At one
+charge the chain's Cholesky factor is a real scalar (_one_charge_chain).
 
-A truncated-CUE sample draws only an M x N Gaussian: the Q of its thin QR
-holds the first N columns of a Haar U(M) (Mezzadri, arXiv:math-ph/0609050),
-in O(M N^2) work, not O(M^3).
+A truncated-CUE sample draws only an M x N Gaussian A: the Q of its thin
+QR holds the first N columns of a Haar U(M) (Mezzadri,
+arXiv:math-ph/0609050), so the truncation is T = X R^-1, with X the top N
+rows of A and R the upper-triangular Cholesky factor of A^H A (positive
+diagonal).  No QR is formed: log|det(T - z)| = log|det(X - z R)| -
+sum_j log R_jj, in O(M N^2) work per sample, not O(M^3).
 """
 
 import cmath
@@ -190,12 +194,15 @@ def _sample_chunk(spec: EnsembleSpec, count: int, rng: np.random.Generator, m: i
     Ginibre: the chain's (b, xi) for m charges, samples last: xi the
     N_C(0, 1/N) column draws (N, m, count) from _complex_normal, then b
     the subdiagonal (N - 1, count) from one standard_gamma draw.
-    TruncatedCUE: a stack (count, N, N), the top N x N corner of
-    _haar_columns of one draw of shape (count, M, N).
+    TruncatedCUE: (X, R, log|det R|) from one draw A of shape (count, M,
+    N): X the top N rows of A, R the upper-triangular Cholesky factor of
+    A^H A, and the sum of log R_jj; the truncation is T = X R^-1.
     """
     n = spec.n
     if isinstance(spec, TruncatedCUE):
-        return _haar_columns(_complex_normal(rng, (count, spec.m, n)))[:, :n]
+        a = _complex_normal(rng, (count, spec.m, n))
+        r = np.linalg.cholesky(a.conj().swapaxes(1, 2) @ a, upper=True)
+        return a[:, :n], r, np.log(np.einsum("...ii->...i", r).real).sum(axis=1)
     xi = _complex_normal(rng, (n, m, count))
     xi *= 1.0 / math.sqrt(2.0 * n)
     shape = np.arange(n - 1, 0, -1, dtype=float)[:, None]
@@ -252,17 +259,44 @@ def _elimination_chain(b: np.ndarray, xi: np.ndarray, points) -> np.ndarray:
     return out
 
 
+def _one_charge_chain(b: np.ndarray, xi: np.ndarray, z: complex) -> np.ndarray:
+    """_elimination_chain for one charge z, with xi of shape (N, count).
+
+    L is then a real scalar per sample, and the Givens sweep is a hypot:
+    a = w z + L xi_j, p = max(b_j, |a|), w = a / p and
+    L <- hypot(L b_j / p, |w|).  Same sample path, same zero-pivot rule.
+    """
+    n, count = xi.shape
+    chol = np.ones(count)
+    w = np.full(count, -1.0 + 0.0j)
+    out = np.zeros(count)
+    with np.errstate(divide="ignore"):
+        for j in range(n - 1):
+            a = w * z
+            a += chol * xi[j]
+            piv = np.maximum(b[j], np.abs(a))
+            out += np.log(piv)
+            inv = 1.0 / piv
+            inv[piv == 0.0] = 0.0
+            w = a * inv
+            chol = np.hypot(chol * b[j] * inv, np.abs(w))
+        a = w * z
+        a += chol * xi[n - 1]
+        out += np.log(np.abs(a))
+    return out
+
+
 def _chunk_logdets(spec: EnsembleSpec, draw, points):
     """Yield log|det(A - z)| over a chunk's samples for each z in points."""
-    if isinstance(spec, Ginibre):
+    if isinstance(spec, TruncatedCUE):
+        x, r, log_det_r = draw
+        for z in points:
+            yield logdet_batch(x - z * r) - log_det_r
+    elif len(points) == 1:
+        b, xi = draw
+        yield _one_charge_chain(b, xi[:, 0], points[0])
+    else:
         yield from _elimination_chain(*draw, points)
-        return
-    # the tCUE chunk is this call's own: shift its diagonal in place
-    diag = np.einsum("...ii->...i", draw)
-    d0 = diag.copy()
-    for z in points:
-        np.subtract(d0, z, out=diag)
-        yield logdet_batch(draw)
 
 
 def worker_count() -> int:
@@ -307,7 +341,9 @@ def mc_moment(
     Gaussians one sample draws (N per charge for Ginibre, M N for the
     tCUE), comes from its own Philox stream, and chunks are reduced in chunk
     order, independent of the worker count.  A Ginibre chunk is one
-    elimination chain over all the charges (module docstring).
+    elimination chain over all the charges, a scalar one at one charge; a
+    truncated-CUE chunk is one batched Cholesky factorisation and one
+    batched LU per charge (module docstring).
     """
     if not isinstance(spec, (Ginibre, TruncatedCUE)):
         raise ValueError(f"mc_moment has no sampler for {spec!r}")

@@ -364,10 +364,6 @@ class _Segment:
         return [h * float(np.dot(_GL_WEIGHTS, v.tolist())) if h else 0.0
                 for h, v in zip(half, vals)]
 
-    def state(self, t: float):
-        y = self.dense(float(np.clip(t, self.lo, self.hi)))
-        return float(y[0]), float(y[1]), float(y[2])
-
     def log_f(self, t: float) -> float:
         t = float(np.clip(t, self.lo, self.hi))
         i = min(int(np.searchsorted(self.nodes, t, side="right")) - 1, self.nodes.size - 2)
@@ -393,10 +389,6 @@ class SigmaSolution:
         raise ValueError(f"t={t} outside the solved span [{min(s.lo for s in self._segments)}, "
                          f"{max(s.hi for s in self._segments)}]")
 
-    def state(self, t: float):
-        """(sigma, sigma', sigma'') at t (within the covered span)."""
-        return self._segment(t).state(t)
-
     def log_f(self, t: float) -> float:
         """ln F at t (within the covered span), from its segment's anchor;
         right of t = 8 a PIV solution gives its closed-form tail."""
@@ -413,9 +405,25 @@ def _ode_rhs(f: SigmaFamily):
     return rhs
 
 
+_SEGMENT_NFEV = 100_000  # legitimate segments have spent at most 947
+
+
 def _integrate_segment(f, t0, y0, t1):
+    """One DOP853 solve from t0 to t1, refused with SolveError once it has
+    spent _SEGMENT_NFEV right-hand-side evaluations: a seed off the solution
+    otherwise creeps toward t1 for minutes while its dense output grows."""
+    ode, nfev = _ode_rhs(f), 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > _SEGMENT_NFEV:
+            raise SolveError(f"integration from {t0} to {t1} spent {_SEGMENT_NFEV} "
+                             f"evaluations; the seed is likely off the solution")
+        return ode(t, y)
+
     sol = _integrate.solve_ivp(
-        _ode_rhs(f),
+        rhs,
         [t0, t1],
         y0,
         method="DOP853",

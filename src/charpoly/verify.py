@@ -338,14 +338,17 @@ def check_tcue(level: str, seed: int):
     (``log_tcue_r_gamma_one``)."""
     samples = 200_000 if level == "full" else 20_000
     exact = dual.tcue_moment_exact(8, 6, 1, 0.5, 0.5)
-    est = mc_moment(
-        TruncatedCUE(8, 6), ChargeConfiguration((0.5,), (2.0,)), samples, seed=seed
-    )
-    out = [_result("c08_mc_tcue", est.sigmas(exact), 3.0, f"{samples} samples")]
-    est2 = mc_moment(
-        TruncatedCUE(2, 1), ChargeConfiguration((0.0,), (2.0,)), samples, seed=seed + 1
-    )
-    out.append(_result("c08_mc_c211", est2.sigmas(math.log(0.5)), 3.0, "E|T_11|^2 = 1/2"))
+
+    def mc(spec, z, seed):
+        t0 = time.time()
+        est = mc_moment(spec, ChargeConfiguration((z,), (2.0,)), samples, seed=seed)
+        return est, f"{samples} samples, ESS {est.ess:.0f}, {time.time() - t0:.1f}s"
+
+    est, detail = mc(TruncatedCUE(8, 6), 0.5, seed)
+    out = [_result("c08_mc_tcue", est.sigmas(exact), 3.0, detail)]
+    est, detail = mc(TruncatedCUE(2, 1), 0.0, seed + 1)
+    out.append(_result("c08_mc_c211", est.sigmas(math.log(0.5)), 3.0,
+                       f"E|T_11|^2 = 1/2, {detail}"))
     a = dual.tcue_moment_exact(6, 4, 2, 0.5, 0.5)
     b = dual.correlator_finiteN(TruncatedCUE(6, 4),
                                 ChargeConfiguration((0.5,), (4.0,)))

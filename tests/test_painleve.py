@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -88,8 +89,7 @@ def test_piv_solve_reproduces_gue_cdf():
 def test_piv_zero_parameter_trivial():
     sol = piv_solution(0.0)
     assert sol.max_residual == 0.0
-    for t in np.linspace(-16.0, 8.0, 25):
-        assert sol.state(float(t)) == (0.0, 0.0, 0.0)
+    assert np.all(sol._segments[0].dense(np.linspace(-16.0, 8.0, 25)) == 0.0)
     for x in (-14.0, -3.0, 1.0, 8.0, 12.0):
         assert F_from_sigma(PIV(0.0), sol, x) == 1.0
 
@@ -98,7 +98,7 @@ def test_piv_branch_continuity():
     sol = piv_solution(2.0)
     # sigma'' sampled densely on the evaluation window varies smoothly
     ts = np.linspace(-5.0, 5.0, 1001)
-    spp = np.array([sol.state(float(t))[2] for t in ts])
+    spp = sol._segments[0].dense(ts)[2]
     assert np.max(np.abs(np.diff(spp))) < 0.2  # ~ |sigma'''| * dt, no flips
 
 
@@ -221,6 +221,17 @@ def test_piv_f_residual_gate_applies_to_a_cached_solution():
     assert piv_solution(1.0).max_residual > 3e-14
     with pytest.raises(SolveError, match="node residual"):
         piv_f(1.0, 0.0, tol=3e-14)
+
+
+def test_transport_from_a_seed_off_the_solution_is_refused():
+    # a coarse Richardson step puts the seed off the solution; without an
+    # evaluation budget this solve ran past 20 s toward t = 0.02
+    fam = PV(4, 3)
+    init = sigma_data(fam, lambda x: log_gap_cdf(LUE(4, 3), x), 0.01, h=2.2e-3)
+    start = time.perf_counter()
+    with pytest.raises(SolveError, match="100000 evaluations"):
+        solve_span(fam, init, 0.01, 0.02, tol=1e-7)
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("k", [1, 2])

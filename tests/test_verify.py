@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,14 @@ def test_individual_checks_quick():
     for name in ("c02_brute_force", "c10_lemniscate", "c13_edge_multi"):
         results = CHECKS[name]("quick", 1)
         assert results and all(r.passed for r in results)
+
+
+def test_mc_checks_report_ess_and_seconds():
+    checks = CHECKS["c01_mc_ginibre"]("quick", 1) + CHECKS["c08_tcue"]("quick", 1)
+    mc = [c for c in checks if c.name.startswith(("c01_mc", "c08_mc"))]
+    assert len(mc) == 5
+    for c in mc:
+        assert re.search(r"20000 samples, ESS \d+, \d+\.\ds$", c.detail), c
 
 
 def test_report_shape_and_determinism():
