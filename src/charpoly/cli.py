@@ -77,9 +77,11 @@ def cmd_exact(args) -> RunReport:
 def cmd_mc(args) -> RunReport:
     rep = RunReport("mc", vars_of(args), seed=args.seed)
     gamma = args.gamma if args.gamma is not None else 2.0 * args.k
-    route, ref = first_route(moment_routes(args.ensemble, args.n, gamma, args.z, args.m))
+    charges = ChargeConfiguration((args.z,), (gamma,))
+    routes = moment_routes(args.ensemble, args.n, gamma, args.z, args.m)
     spec = Ginibre(args.n) if args.ensemble == "ginibre" else TruncatedCUE(args.m, args.n)
-    est = mc_moment(spec, ChargeConfiguration((args.z,), (gamma,)), args.samples, args.seed)
+    route, ref = first_route(routes)
+    est = mc_moment(spec, charges, args.samples, args.seed)
     diagnostics = ("mean_shifted", "stderr_shifted", "log_shift", "n_samples", "ess")
     rep.outputs.append(
         _record("moment", "mc", est.log_value, {key: getattr(est, key) for key in diagnostics})

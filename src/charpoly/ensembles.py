@@ -5,7 +5,8 @@ Randomness comes from counter-based Philox streams keyed by (seed, chunk),
 so results are bit-identical for a given seed no matter how many worker
 threads evaluate the chunks.  Each chunk draws at most _BLOCK standard
 complex Gaussian entries (4 MB complex) for at most _CHUNK samples: every
-real part, then every imaginary part (_complex_normal).
+real part, then every imaginary part (_complex_normal).  A call whose
+whole draw fits that budget keeps it for the next call (mc_moment).
 
 A Ginibre sample is the Hessenberg model read through an elimination
 chain.  Householder reflections make a complex Ginibre matrix unitarily
@@ -50,6 +51,7 @@ __all__ = [
 
 _CHUNK = 4096
 _BLOCK = 1 << 18  # Gaussian entries drawn per chunk at most: 4 MB complex
+_kept = {}  # key: per-chunk draws, of the latest mc_moment call within _BLOCK
 
 
 @dataclass(frozen=True)
@@ -303,8 +305,20 @@ def worker_count() -> int:
     """Worker cap from CHARPOLY_THREADS (default: up to 8 cores)."""
     env = os.environ.get("CHARPOLY_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"CHARPOLY_THREADS must be an integer, got {env!r}") from None
     return max(1, min(8, os.cpu_count() or 1))
+
+
+def _map_chunks(fn, n_chunks: int) -> list:
+    """[fn(c) for c in range(n_chunks)], on up to worker_count() threads."""
+    workers = min(worker_count(), n_chunks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(n_chunks)))
+    return [fn(c) for c in range(n_chunks)]
 
 
 def default_log_shift(spec: EnsembleSpec, charges: ChargeConfiguration) -> float:
@@ -340,10 +354,12 @@ def mc_moment(
     of min(_CHUNK, _BLOCK // entries) samples, entries being the complex
     Gaussians one sample draws (N per charge for Ginibre, M N for the
     tCUE), comes from its own Philox stream, and chunks are reduced in chunk
-    order, independent of the worker count.  A Ginibre chunk is one
-    elimination chain over all the charges, a scalar one at one charge; a
-    truncated-CUE chunk is one batched Cholesky factorisation and one
-    batched LU per charge (module docstring).
+    order, independent of the worker count.  A call with n_samples *
+    entries <= _BLOCK keeps its draws, read-only; the next call reads them
+    if it has the same (spec, charges.m, n_samples, seed), else drops them.
+    A Ginibre chunk is one elimination chain over all the charges, a scalar
+    one at one charge; a truncated-CUE chunk is one batched Cholesky
+    factorisation and one batched LU per charge (module docstring).
     """
     if not isinstance(spec, (Ginibre, TruncatedCUE)):
         raise ValueError(f"mc_moment has no sampler for {spec!r}")
@@ -356,26 +372,30 @@ def mc_moment(
 
     entries = spec.n * (charges.m if isinstance(spec, Ginibre) else spec.m)
     size = max(1, min(_CHUNK, _BLOCK // entries))
+    n_chunks = (n_samples + size - 1) // size
+    key, keep = (spec, charges.m, n_samples, seed), n_samples * entries <= _BLOCK
+    kept = _kept.pop(key, None)
+    _kept.clear()
+    draws = kept or [None] * n_chunks
 
     def run_chunk(c: int) -> tuple[float, float]:
         count = min(size, n_samples - c * size)
-        draw = _sample_chunk(spec, count, _rng(seed, c), charges.m)
+        draw = draws[c] if kept else _sample_chunk(spec, count, _rng(seed, c), charges.m)
+        if keep:
+            draws[c] = draw
         s = np.zeros(count)
         for g, logdet in zip(charges.exponents, _chunk_logdets(spec, draw, charges.points)):
             s += g * logdet
         vals = np.exp(s - log_shift)
         return float(vals.sum()), float((vals * vals).sum())
 
-    n_chunks = (n_samples + size - 1) // size
-    workers = min(worker_count(), n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
-    else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
+    parts = _map_chunks(run_chunk, n_chunks)
+    if keep:
+        for a in (a for draw in draws for a in draw):  # a later call reads them
+            a.flags.writeable = False
+        _kept[key] = draws
 
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
+    total, total_sq = map(sum, zip(*parts))
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     stderr = math.sqrt(var / n_samples)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .ensembles import ChargeConfiguration, _complex_normal, _haar_columns, _rng
+from .ensembles import ChargeConfiguration, _complex_normal, _haar_columns, _map_chunks, _rng
 from .specfun import integer
 
 __all__ = [
@@ -133,21 +133,21 @@ def lemniscate_partition_quadrature(
 
 def haar_mc_hciz(u, v, n_samples: int, seed: int):
     """Monte Carlo of int_{U(k)} exp Tr(U A U^dag conj(B)) dmu with
-    A = diag(u), conj(B) = diag(conj(v)); returns (mean, stderr) complex."""
+    A = diag(u), conj(B) = diag(conj(v)); returns (mean, stderr) complex.
+    Its 2048-sample chunks run on mc_moment's workers, joined in order."""
     u = np.asarray(u, dtype=complex)
     vbar = np.conj(np.asarray(v, dtype=complex))
     k = u.size
     chunk = 2048
     n_chunks = (n_samples + chunk - 1) // chunk
-    vals = []
-    for c in range(n_chunks):
+
+    def run_chunk(c: int) -> np.ndarray:
         cnt = min(chunk, n_samples - c * chunk)
         uu = _haar_columns(_complex_normal(_rng(seed, c), (cnt, k, k)))
         # Tr(U A U^dag Bbar) = sum_{a,b} u_a vbar_b |U_{b,a}|^2
-        absq = np.abs(uu) ** 2
-        tr = np.einsum("a,b,cba->c", u, vbar, absq)
-        vals.append(np.exp(tr))
-    vals = np.concatenate(vals)
+        return np.exp(np.einsum("a,b,cba->c", u, vbar, np.abs(uu) ** 2))
+
+    vals = np.concatenate(_map_chunks(run_chunk, n_chunks))
     mean = complex(vals.mean())
     err = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return mean, err

@@ -14,7 +14,6 @@ import json
 import math
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,7 +26,8 @@ from . import dualities as dual
 from . import gap as gapmod
 from . import oracles
 from . import painleve as pain
-from .ensembles import ChargeConfiguration, Ginibre, TruncatedCUE, mc_moment, worker_count
+from .ensembles import (ChargeConfiguration, Ginibre, TruncatedCUE, _map_chunks, mc_moment,
+                        worker_count)
 from .specfun import integer
 
 __all__ = ["CheckResult", "RunReport", "run_verification_suite", "CHECKS", "moment_routes",
@@ -530,10 +530,10 @@ def run_verification_suite(level: str = "quick", seed: int = 1) -> RunReport:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     t0 = time.time()
-    results: list[CheckResult] = []
+    items = sorted(CHECKS.items())
 
-    def run_one(item):
-        name, fn = item
+    def run_one(c: int) -> list[CheckResult]:
+        name, fn = items[c]
         t = time.perf_counter()
         try:
             batch = fn(level, seed)
@@ -544,14 +544,7 @@ def run_verification_suite(level: str = "quick", seed: int = 1) -> RunReport:
             r.wall_s = wall
         return batch
 
-    workers = min(worker_count(), len(CHECKS))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch in pool.map(run_one, sorted(CHECKS.items())):
-                results.extend(batch)
-    else:
-        for item in sorted(CHECKS.items()):
-            results.extend(run_one(item))
+    results = [r for batch in _map_chunks(run_one, len(items)) for r in batch]
     results.sort(key=lambda r: r.name)
     report = RunReport(
         command=f"verify --level {level}",

@@ -415,6 +415,26 @@ def test_tcue_without_m_is_usage_error(capsys, command):
     assert "--m is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "8"], ["--ensemble", "tcue", "--m", "8", "--n", "6"]],
+    ids=["ginibre", "tcue"],
+)
+def test_mc_non_integrable_exponent_names_integrability(capsys, argv):
+    # each route's refusal once stood in for the reason
+    code = main(["mc", *argv, "--gamma", "-2.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: each exponent must exceed -2 (integrability)\n"
+
+
+def test_non_integer_thread_count_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CHARPOLY_THREADS", "abc")
+    code = main(["mc", "--n", "8", "--k", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: CHARPOLY_THREADS must be an integer, got 'abc'\n"
+
+
 def test_painleve_subcommand(capsys):
     code, out = run_cli(
         capsys, "painleve", "--family", "p5", "--k", "1", "--alpha", "2.0",

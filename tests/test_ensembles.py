@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from charpoly import ensembles
 from charpoly.dualities import GinibreWeight, correlator_finiteN, ginibre_moment_exact
 from charpoly.ensembles import (
     ChargeConfiguration,
@@ -23,6 +24,7 @@ from charpoly.ensembles import (
     _sample_chunk,
     mc_moment,
     sample_haar_unitary,
+    worker_count,
 )
 from charpoly.linalg import logdet_batch
 
@@ -383,15 +385,35 @@ def test_mc_ginibre64_matches_exact_duality():
     assert est.within(ref)
 
 
+def _counted_draws(monkeypatch) -> list:
+    """A list that gains one entry per _sample_chunk call of mc_moment."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sample_chunk(*args)
+
+    monkeypatch.setattr(ensembles, "_sample_chunk", counted)
+    return calls
+
+
 def test_mc_determinism_and_thread_independence(monkeypatch):
+    # each call starts with no kept draws, so the 5-worker call draws its
+    # chunks itself instead of reading the ones the 1-worker call kept
+    calls = _counted_draws(monkeypatch)
+
+    def cold(spec, charges, n, seed, threads):
+        monkeypatch.setattr(ensembles, "_kept", {})
+        monkeypatch.setenv("CHARPOLY_THREADS", threads)
+        calls.clear()
+        est = mc_moment(spec, charges, n, seed=seed)
+        assert calls
+        return est
+
     cc = ChargeConfiguration((0.3,), (2.0,))
-    monkeypatch.setenv("CHARPOLY_THREADS", "1")
-    a = mc_moment(Ginibre(3), cc, 9000, seed=42)
-    monkeypatch.setenv("CHARPOLY_THREADS", "5")
-    b = mc_moment(Ginibre(3), cc, 9000, seed=42)
-    assert a == b  # bit identical regardless of worker count
-    c = mc_moment(Ginibre(3), cc, 9000, seed=43)
-    assert c != a
+    a = cold(Ginibre(3), cc, 9000, 42, "1")
+    assert cold(Ginibre(3), cc, 9000, 42, "5") == a  # bit identical regardless of worker count
+    assert cold(Ginibre(3), cc, 9000, 43, "5") != a
     cc2 = ChargeConfiguration((0.3, -0.6j), (2.0, 1.0))
     for spec, n, charges in (
         (Ginibre(1), 9000, cc),
@@ -403,10 +425,89 @@ def test_mc_determinism_and_thread_independence(monkeypatch):
         (Ginibre(64), 4096, cc2),
         (TruncatedCUE(64, 8), 2048, cc),
     ):
-        monkeypatch.setenv("CHARPOLY_THREADS", "1")
-        a = mc_moment(spec, charges, n, seed=42)
-        monkeypatch.setenv("CHARPOLY_THREADS", "5")
-        assert mc_moment(spec, charges, n, seed=42) == a
+        a = cold(spec, charges, n, 42, "1")
+        assert cold(spec, charges, n, 42, "5") == a
+
+
+def _hex(est):
+    return tuple(map(float.hex, (est.log_shift, est.mean_shifted, est.stderr_shifted)))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "spec,points,n_samples",
+    [(Ginibre(8), (0.3,), 20_000), (Ginibre(8), (0.3, -0.6j), 9000),
+     (TruncatedCUE(2, 1), (0.3,), 20_000)],
+)
+def test_mc_kept_draws_match_a_cold_call(monkeypatch, threads, spec, points, n_samples):
+    # a z-grid: the first call keeps its draws, every later one reads them
+    monkeypatch.setenv("CHARPOLY_THREADS", threads)
+    monkeypatch.setattr(ensembles, "_kept", {})
+    calls = _counted_draws(monkeypatch)
+    exponents = (2.0, 1.0)[: len(points)]
+    mc_moment(spec, ChargeConfiguration(points, exponents), n_samples, seed=5)
+    for shift in (0.0, 0.2 - 0.1j, -0.5j, 0.9):
+        cc = ChargeConfiguration(tuple(z + shift for z in points), exponents)
+        drawn = len(calls)
+        warm = mc_moment(spec, cc, n_samples, seed=5)
+        assert len(calls) == drawn
+        monkeypatch.setattr(ensembles, "_kept", {})
+        cold = mc_moment(spec, cc, n_samples, seed=5)
+        assert len(calls) > drawn
+        assert _hex(warm) == _hex(cold)
+
+
+def test_mc_any_other_key_draws(monkeypatch):
+    # another seed, sample count, spec or charge count reads none of the kept draws
+    monkeypatch.setattr(ensembles, "_kept", {})
+    calls = _counted_draws(monkeypatch)
+    cc, cc2 = ChargeConfiguration((0.3,), (2.0,)), ChargeConfiguration((0.3, 0.1j), (2.0, 2.0))
+    for spec, charges, n, seed in ((Ginibre(8), cc, 5000, 6), (Ginibre(8), cc, 5001, 5),
+                                   (Ginibre(7), cc, 5000, 5), (Ginibre(8), cc2, 5000, 5)):
+        mc_moment(Ginibre(8), cc, 5000, seed=5)
+        drawn = len(calls)
+        mc_moment(spec, charges, n, seed=seed)
+        assert len(calls) > drawn
+
+
+def test_mc_kept_draws_are_read_only(monkeypatch):
+    monkeypatch.setattr(ensembles, "_kept", {})
+    cc = ChargeConfiguration((0.3,), (2.0,))
+    for spec in (Ginibre(8), TruncatedCUE(2, 1)):
+        mc_moment(spec, cc, 5000, seed=5)
+        [(key, draws)] = ensembles._kept.items()
+        assert key == (spec, 1, 5000, 5) and len(draws) == 2
+        for a in (a for draw in draws for a in draw):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
+def test_mc_over_budget_call_keeps_nothing(monkeypatch):
+    # 50 000 tCUE(8, 6) samples draw 2.4M Gaussians, over the 2^18 budget:
+    # the call drops the grid's draws first and keeps none of its own; the
+    # bound is the thin-QR sampler's peak, as in the memory test above
+    monkeypatch.setenv("CHARPOLY_THREADS", "1")
+    monkeypatch.setattr(ensembles, "_kept", {})
+    cc = ChargeConfiguration((0.5,), (2.0,))
+    mc_moment(Ginibre(8), cc, 20_000, seed=9)
+    assert ensembles._kept
+    tracemalloc.start()
+    try:
+        mc_moment(TruncatedCUE(8, 6), cc, 50_000, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ensembles._kept
+    assert peak <= 12_334_157
+
+
+def test_worker_count_reads_charpoly_threads(monkeypatch):
+    for env, want in (("3", 3), ("0", 1), ("-2", 1)):
+        monkeypatch.setenv("CHARPOLY_THREADS", env)
+        assert worker_count() == want
+    monkeypatch.setenv("CHARPOLY_THREADS", "abc")
+    with pytest.raises(ValueError, match="^CHARPOLY_THREADS must be an integer, got 'abc'$"):
+        worker_count()
 
 
 def test_mc_requires_two_samples():

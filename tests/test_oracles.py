@@ -51,3 +51,12 @@ def test_haar_mc_k1_exact():
     mc, err = haar_mc_hciz([0.4 + 0.1j], [0.3 - 0.2j], 5000, seed=1)
     want = cmath.exp((0.4 + 0.1j) * (0.3 + 0.2j))
     assert abs(mc - want) < 1e-12 and err < 1e-12
+
+
+def test_haar_mc_is_independent_of_the_worker_count(monkeypatch):
+    # ten chunks of 2048 on one thread and on five, joined in chunk order
+    u, v = [0.4 + 0.1j, -0.3j, 0.5], [0.3 - 0.2j, 0.6, -0.1 + 0.4j]
+    monkeypatch.setenv("CHARPOLY_THREADS", "1")
+    one = haar_mc_hciz(u, v, 20_000, seed=3)
+    monkeypatch.setenv("CHARPOLY_THREADS", "5")
+    assert haar_mc_hciz(u, v, 20_000, seed=3) == one
