@@ -29,7 +29,7 @@ from .specfun import erfc_complex, integer, log_barnes_g
 __all__ = [
     "EdgeVectors",
     "bulk_interior",
-    "gue_largest_f",
+    "gue_largest_log_f",
     "ginibre_edge",
     "bulk_two_charge",
     "edge_f_det",
@@ -77,57 +77,40 @@ def bulk_interior(n: int, gamma: float, z: complex) -> float:
     )
 
 
-def gue_largest_f(k: float, x: float) -> float:
-    """F_k(x): the determinant route for integer k, the Painleve IV
-    connection solve for real k."""
+def gue_largest_log_f(k: float, x: float) -> float:
+    """ln F_k(x): the determinant route for integer k, the Painleve IV
+    connection solve for real k; finite where F_k underflows."""
     if k == 0.0:
-        return 1.0
+        return 0.0
     if (ki := integer(k)) is not None and ki >= 1:
-        return _gap.gap_cdf(_gap.GUE(ki), x)
-    return _painleve.piv_f(float(k), float(x))
+        return _gap.clamped_log_gap_cdf(_gap.GUE(ki), x)
+    return _painleve.piv_log_f(float(k), float(x))
 
 
 def ginibre_edge(n: int, k: float, z: complex) -> float:
     """ln of the boundary expansion (uniform to |z| = 1 + L/sqrt(N)):
-    Nk(|z|^2-1) + (k^2/2) ln N + (k/2) ln 2pi - ln G(1+k) + ln F_k(sqrt(N)(1-|z|^2))."""
-    az2 = abs(complex(z)) ** 2
-    f = gue_largest_f(k, math.sqrt(n) * (1.0 - az2))
-    return float(
-        n * k * (az2 - 1.0)
-        + 0.5 * k * k * math.log(n)
-        + 0.5 * k * math.log(2.0 * math.pi)
-        - log_barnes_g(1.0 + k)
-        + math.log(f)
-    )
+    ``bulk_interior(n, 2k, z)`` + ln F_k(sqrt(N)(1-|z|^2))."""
+    x = math.sqrt(n) * (1.0 - abs(complex(z)) ** 2)
+    return float(bulk_interior(n, 2.0 * k, z) + gue_largest_log_f(k, x))
 
 
 def bulk_two_charge(n, k1, k2, z, u1, u2) -> float:
-    """ln of the two-charge bulk collision expansion at z_i = z + u_i/sqrt(N);
-    k1 may be real (>= k2), k2 is an integer (LUE) determinant size."""
+    """ln of the two-charge bulk collision expansion at z_i = z + u_i/sqrt(N):
+    the interior expansions at z_i with 2 k_i, -2 k1 k2 ln|z_2 - z_1| and ln of
+    the LUE(k2, k1 - k2) law at |u_2 - u_1|^2; k1 may be real (>= k2), k2 is
+    an integer (LUE) determinant size."""
     if k2 > k1:
         k1, k2 = k2, k1
         u1, u2 = u2, u1
-    if k2 == 0:
-        if k1 == 0:
-            return 0.0
-        return bulk_interior(n, 2.0 * k1, complex(z) + complex(u1) / math.sqrt(n))
-    lue = _gap.LUE(k2, float(k1 - k2))
-    z = complex(z)
     rn = math.sqrt(n)
-    z1 = z + complex(u1) / rn
-    z2 = z + complex(u2) / rn
+    z1, z2 = complex(z) + complex(u1) / rn, complex(z) + complex(u2) / rn
+    out = bulk_interior(n, 2.0 * k1, z1) + bulk_interior(n, 2.0 * k2, z2)
+    if k2 == 0:
+        return out
+    lue = _gap.LUE(k2, float(k1 - k2))
     sep2 = abs(complex(u2) - complex(u1)) ** 2
-    f = _gap.gap_cdf(lue, sep2)
-    return float(
-        k1 * n * (abs(z1) ** 2 - 1.0)
-        + k2 * n * (abs(z2) ** 2 - 1.0)
-        + 0.5 * (k1 * k1 + k2 * k2) * math.log(n)
-        - 2.0 * k1 * k2 * math.log(abs(z2 - z1))
-        + 0.5 * (k1 + k2) * math.log(2.0 * math.pi)
-        - log_barnes_g(1.0 + k1)
-        - log_barnes_g(1.0 + k2)
-        + math.log(f)
-    )
+    return float(out - 2.0 * k1 * k2 * math.log(abs(z2 - z1))
+                 + _gap.clamped_log_gap_cdf(lue, sep2))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +232,8 @@ def bulk_multi(n: int, z: complex, ev: EdgeVectors) -> float:
     k = ev.k
     ratio = hciz_ratio(ev.u, ev.v)
     s = sum(z * vj.conjugate() + z.conjugate() * uj for uj, vj in zip(ev.u, ev.v))
-    total = (
-        n * k * (abs(z) ** 2 - 1.0)
-        + math.sqrt(n) * s
-        + 0.5 * k * k * math.log(n)
-        + 0.5 * k * math.log(2.0 * math.pi)
-        + cmath.log(ratio)
-    )
+    total = (bulk_interior(n, 2.0 * k, z) + log_barnes_g(1.0 + k)
+             + math.sqrt(n) * s + cmath.log(ratio))
     if abs(math.remainder(total.imag, 2.0 * math.pi)) > 1e-7:
         raise FloatingPointError("bulk correlator is not positive real here")
     return float(total.real)
@@ -269,14 +247,14 @@ def tcue_edge(n: int, kappa: float, k: int, u: float) -> float:
         raise ValueError("requires u > 0")
     if kappa < 0:
         raise ValueError("requires kappa >= 0")
-    f = _gap.gap_cdf(_gap.LUE(k, float(kappa)), 2.0 * u)
+    log_f = _gap.clamped_log_gap_cdf(_gap.LUE(k, float(kappa)), 2.0 * u)
     return float(
         k * k * math.log(n)
         + log_barnes_g(k + kappa + 1.0)
         - log_barnes_g(k + 1.0)
         - log_barnes_g(kappa + 1.0)
         - (k * k + k * kappa) * math.log(2.0 * u)
-        + math.log(f)
+        + log_f
     )
 
 
@@ -313,7 +291,7 @@ def lemniscate_asym(n: int, d: int, t: float, regime: str) -> float:
         tau = math.sqrt(n) * (1.0 - t / tc)
         out = (n * t * d) ** 2 - n * t * t * d * (d - 1.0) / 2.0
         for g in lemniscate_gamma_exponents(d):
-            out += math.log(gue_largest_f(0.5 * g, 2.0 * tau))
+            out += gue_largest_log_f(0.5 * g, 2.0 * tau)
         return float(out)
     if regime == "super":
         if t <= tc:

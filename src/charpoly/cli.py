@@ -54,13 +54,22 @@ def _record(name, route, log_value, extra=None):
     return rec
 
 
+def _model_and_gamma(args):
+    """The matrix model and the exponent (--gamma, else 2 --k) of `exact` and `mc`."""
+    if args.ensemble == "tcue" and args.m is None:
+        raise ValueError("--m is required for the truncated CUE")
+    if args.ensemble == "ginibre" and args.m is not None:
+        raise ValueError("--m applies to the truncated CUE only")
+    model = Ginibre(args.n) if args.ensemble == "ginibre" else TruncatedCUE(args.m, args.n)
+    return model, args.gamma if args.gamma is not None else 2.0 * args.k
+
+
 def cmd_exact(args) -> RunReport:
     """Every exact route for one moment.  A route that refuses its domain
     (ValueError) is recorded as skipped with its reason; the routes that
     returned are checked against each other."""
     rep = RunReport("exact", vars_of(args), seed=args.seed)
-    gamma = args.gamma if args.gamma is not None else 2.0 * args.k
-    for route, fn in moment_routes(args.ensemble, args.n, gamma, args.z, args.m):
+    for route, fn in moment_routes(*_model_and_gamma(args), args.z):
         try:
             rep.outputs.append(_record("moment", route, fn()))
         except ValueError as exc:
@@ -76,12 +85,10 @@ def cmd_exact(args) -> RunReport:
 
 def cmd_mc(args) -> RunReport:
     rep = RunReport("mc", vars_of(args), seed=args.seed)
-    gamma = args.gamma if args.gamma is not None else 2.0 * args.k
+    model, gamma = _model_and_gamma(args)
     charges = ChargeConfiguration((args.z,), (gamma,))
-    routes = moment_routes(args.ensemble, args.n, gamma, args.z, args.m)
-    spec = Ginibre(args.n) if args.ensemble == "ginibre" else TruncatedCUE(args.m, args.n)
-    route, ref = first_route(routes)
-    est = mc_moment(spec, charges, args.samples, args.seed)
+    route, ref = first_route(moment_routes(model, gamma, args.z))
+    est = mc_moment(model, charges, args.samples, args.seed)
     diagnostics = ("mean_shifted", "stderr_shifted", "log_shift", "n_samples", "ess")
     rep.outputs.append(
         _record("moment", "mc", est.log_value, {key: getattr(est, key) for key in diagnostics})

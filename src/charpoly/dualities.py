@@ -260,13 +260,14 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex) -> float:
     gamma t/2, R the Gram route, at t_ref = x N/(N + 3), and carried to x by
     one solve.  The transport error grows like exp(0.8 N (x - t_ref)/x): a
     fixed t_ref = 0.95 x is 1.8e-4 off at (N, gamma, |z|) = (400, 2, 0.3).
-    Envelope: the Gram route's (its ValueError), and ``sigma_data``'s
-    FloatingPointError where ln P(t_ref) < ln 1e-300, as at (800, 4, 1.5).
-    Elsewhere within 9.9e-10 of the Gram route for N <= 800, gamma in
-    {-1.5, -0.5, 1.3, 2, 4} and |z| in [0.05, 1.5].
+    Envelope: |z| <= 1.5 (ValueError beyond: at (8, 2, 4) it read 24.98
+    against Gram's 22.24), the Gram route's (its ValueError), and
+    ``sigma_data``'s FloatingPointError where ln P(t_ref) < ln 1e-300, as at
+    (800, 4, 1.5).  Elsewhere within 9.9e-10 of the Gram route for N <= 800,
+    gamma in {-1.5, -0.5, 1.3, 2, 4} and |z| in [0.05, 1.5].
     """
-    if n < 1 or gamma <= -2:
-        raise ValueError("requires n >= 1 and gamma > -2")
+    if n < 1 or gamma <= -2 or abs(complex(z)) > 1.5:
+        raise ValueError("requires n >= 1, gamma > -2 and |z| <= 1.5")
     if gamma == 0.0:
         return 0.0
     x = n * abs(complex(z)) ** 2
@@ -283,7 +284,7 @@ def ginibre_moment_pv(n: int, gamma: float, z: complex) -> float:
     t_ref = x * n / (n + 3.0)
     init = _painleve.sigma_data(fam, logp, t_ref, min(4e-3 * max(1.0, t_ref), t_ref / 4.5))
     sol = _painleve.solve_span(fam, init, t_ref, x, tol=1e-7)
-    return log_r0 + 0.5 * gamma * x + math.log(_painleve.F_from_sigma(fam, sol, x))
+    return float(log_r0 + 0.5 * gamma * x + sol.log_f(x))
 
 
 # ---------------------------------------------------------------------------

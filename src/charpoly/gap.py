@@ -30,6 +30,7 @@ __all__ = [
     "GapEnsemble",
     "log_norm_constant",
     "gap_cdf",
+    "clamped_log_gap_cdf",
     "log_gap_cdf",
     "log_lue_tail",
     "gap_oracle",
@@ -212,12 +213,17 @@ def log_gap_cdf(e: GapEnsemble, x: float) -> float:
     raise TypeError(f"unknown ensemble {e!r}")
 
 
-def gap_cdf(e: GapEnsemble, x: float) -> float:
-    """P(lambda_max < x), clamped to [0, 1] within 1e-12 slack."""
+def clamped_log_gap_cdf(e: GapEnsemble, x: float) -> float:
+    """ln P(lambda_max < x), clamped to at most 0 within 1e-12 slack."""
     lg = log_gap_cdf(e, x)
     if lg > 1e-12:
         raise FloatingPointError(f"gap_cdf exceeded 1 by {math.expm1(lg)}")
-    return math.exp(min(lg, 0.0))
+    return min(lg, 0.0)
+
+
+def gap_cdf(e: GapEnsemble, x: float) -> float:
+    """P(lambda_max < x) = exp(``clamped_log_gap_cdf``), in [0, 1]."""
+    return math.exp(clamped_log_gap_cdf(e, x))
 
 
 def log_lue_tail(k: int, alpha: float, x: float) -> float:

@@ -114,20 +114,21 @@ def _result(name, observed, tolerance, detail=""):
 # the route table shared by the CLI, the scripts and the convergence trends
 # ---------------------------------------------------------------------------
 
-def moment_routes(ensemble: str, n: int, gamma: float, z: complex, m=None):
-    """(label, thunk) pairs for ln E|det(A - z)|^gamma, most trusted first,
-    for A Ginibre ("ginibre") or the N x N truncation of Haar U(M) ("tcue").
-    The exact dualities are listed only when gamma/2 is a positive integer;
-    a thunk raises ValueError outside its route's domain."""
+def moment_routes(model, gamma: float, z: complex):
+    """(label, thunk) pairs for ln E|det(A - z)|^gamma, most trusted first, A
+    of a ``Ginibre`` or ``TruncatedCUE`` model (any other: ValueError).  The
+    exact dualities are listed only when gamma/2 is a positive integer; a
+    thunk raises ValueError outside its route's domain."""
     k = integer(0.5 * gamma)
-    if ensemble == "ginibre":
-        routes = [("exact", lambda: dual.ginibre_moment_exact(n, k, z)),
-                  ("gram", lambda: dual.ginibre_moment_toeplitz(n, gamma, z))]
-    elif m is None:
-        raise ValueError("--m is required for the truncated CUE")
-    else:
+    if isinstance(model, Ginibre):
+        routes = [("exact", lambda: dual.ginibre_moment_exact(model.n, k, z)),
+                  ("gram", lambda: dual.ginibre_moment_toeplitz(model.n, gamma, z))]
+    elif isinstance(model, TruncatedCUE):
+        m, n = model.m, model.n
         routes = [("exact", lambda: dual.tcue_moment_exact(m, n, k, z, complex(z).conjugate())),
                   ("gram", lambda: dual.tcue_moment_toeplitz(m, n, gamma, z))]
+    else:
+        raise ValueError(f"no moment routes for {model!r}")
     return routes if k is not None and k >= 1 else routes[1:]
 
 
@@ -159,7 +160,8 @@ def _tcue_edge_moment(p):
     kappa = integer(p.kappa)
     if kappa is None:
         raise ValueError("the tcue-edge reference needs an integer kappa = M - N")
-    return first_route(moment_routes("tcue", p.n, 2.0 * p.k, 1.0 - p.u1 / p.n, m=p.n + kappa))
+    model = TruncatedCUE(p.n + kappa, p.n)
+    return first_route(moment_routes(model, 2.0 * p.k, 1.0 - p.u1 / p.n))
 
 
 # expansion -> (its log, (label, log) of its finite-N reference), each a
@@ -167,11 +169,11 @@ def _tcue_edge_moment(p):
 # kappa, u1 and u2
 EXPANSIONS = {
     "interior": (lambda p: asym.bulk_interior(p.n, p.gamma, p.z),
-                 lambda p: first_route(moment_routes("ginibre", p.n, p.gamma, p.z))),
+                 lambda p: first_route(moment_routes(Ginibre(p.n), p.gamma, p.z))),
     "edge": (lambda p: asym.ginibre_edge(p.n, p.k, p.z),
-             lambda p: first_route(moment_routes("ginibre", p.n, 2.0 * p.k, p.z))),
+             lambda p: first_route(moment_routes(Ginibre(p.n), 2.0 * p.k, p.z))),
     "exterior": (lambda p: asym.ginibre_exterior(p.n, p.k, p.z),
-                 lambda p: first_route(moment_routes("ginibre", p.n, 2.0 * p.k, p.z))),
+                 lambda p: first_route(moment_routes(Ginibre(p.n), 2.0 * p.k, p.z))),
     "two-charge": (lambda p: asym.bulk_two_charge(p.n, p.k, p.k2, p.z, p.u1, p.u2),
                    lambda p: _pair_correlator(p, p.k, p.k2)),
     "bulk-multi": (

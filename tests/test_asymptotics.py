@@ -13,7 +13,7 @@ from charpoly.asymptotics import (
     edge_multi,
     ginibre_edge,
     ginibre_exterior,
-    gue_largest_f,
+    gue_largest_log_f,
     lemniscate_asym,
     lemniscate_kappa,
     tcue_edge,
@@ -31,8 +31,8 @@ from charpoly.dualities import (
     tcue_moment_exact,
 )
 from charpoly.ensembles import ChargeConfiguration
-from charpoly.gap import GUE, gap_cdf
-from charpoly.painleve import piv_f
+from charpoly.gap import GUE, gap_cdf, log_gap_cdf
+from charpoly.painleve import piv_log_f
 from charpoly.specfun import erfc, log_barnes_g
 
 
@@ -73,7 +73,7 @@ def test_edge_trend():
 
 def test_edge_real_k_matches_integer_route():
     x = 0.7
-    assert gue_largest_f(2.0 + 0e-13, x) == pytest.approx(gap_cdf(GUE(2), x), abs=1e-9)
+    assert gue_largest_log_f(2.0 + 0e-13, x) == pytest.approx(log_gap_cdf(GUE(2), x), abs=1e-9)
     # through the full evaluator (PIV solve for real k close to integer)
     a = ginibre_edge(50, 1.0, 1.0)
     b = (
@@ -81,18 +81,18 @@ def test_edge_real_k_matches_integer_route():
         + 0.5 * math.log(50.0)
         + 0.5 * math.log(2 * math.pi)
         - log_barnes_g(2.0)
-        + math.log(gue_largest_f(1.0, 0.0))
+        + gue_largest_log_f(1.0, 0.0)
     )
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_real_k_edge_factor_reads_the_cached_piv_solution(ode_calls):
     k = 1.37
-    first = gue_largest_f(k, 0.2)
-    assert first == piv_f(k, 0.2)
+    first = gue_largest_log_f(k, 0.2)
+    assert first == piv_log_f(k, 0.2)
     ode_calls.clear()
     for x in (-1.1, 0.45, 2.0):
-        assert gue_largest_f(k, x) == piv_f(k, x)
+        assert gue_largest_log_f(k, x) == piv_log_f(k, x)
     assert math.isfinite(ginibre_edge(64, k, 1.02))
     assert ode_calls == []
 

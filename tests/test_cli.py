@@ -161,6 +161,20 @@ def test_tcue_edge_refuses_a_non_integer_kappa(capsys):
     assert "integer kappa" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, asym_log, exact_log", [
+    (["edge", "--n", "800", "--k", "1", "--z", "1.6"], 274.1148, 752.5006),
+    (["tcue-edge", "--n", "64", "--kappa", "2", "--k", "2", "--u1", "1e-45"], 11.1549, 11.3972),
+], ids=["edge", "tcue-edge"])
+def test_asym_reads_an_underflowing_gap_factor_in_logs(capsys, argv, asym_log, exact_log):
+    # F_1(sqrt(800)(1 - 1.6^2)) = F_1(-44.12) and the LUE(2, 2) law at 2e-45
+    # underflow to 0; their logs once stopped the command with "math domain error"
+    code, out = run_cli(capsys, "asym", "--expansion", *argv)
+    assert code == 0
+    logs = {r["route"]: r["log_value"] for r in json.loads(out)["outputs"]}
+    assert logs["asym"] == pytest.approx(asym_log, abs=1e-4)
+    assert logs["exact"] == pytest.approx(exact_log, abs=1e-4)
+
+
 def test_asym_exterior_non_integer_k_compares_the_same_exponent(capsys):
     # the exterior reference once took ginibre_moment_exact(N, int(k), z),
     # the k = 1 moment, and read ratio 4.3e-8 here
@@ -413,6 +427,15 @@ def test_tcue_without_m_is_usage_error(capsys, command):
     code = main([command, "--ensemble", "tcue", "--n", "6", "--k", "1", "--z", "0.5"])
     assert code == 2
     assert "--m is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exact", "mc"])
+def test_m_without_tcue_is_usage_error(capsys, command):
+    # exact once ignored --m and reported the Ginibre moment
+    code = main([command, "--n", "8", "--m", "20", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --m applies to the truncated CUE only\n"
 
 
 @pytest.mark.parametrize(

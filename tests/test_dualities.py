@@ -210,10 +210,15 @@ def test_pv_route_matches_gram(n, gamma, r):
 
 
 @pytest.mark.parametrize("n, gamma, r, error", [(100, 1.3, 0.45, ValueError),
-                                                (800, 4.0, 1.5, FloatingPointError)])
+                                                (800, 4.0, 1.5, FloatingPointError),
+                                                (8, 2.0, 4.0, ValueError),
+                                                (8, -0.5, 8.0, ValueError),
+                                                (4, 1.3, 14.0, ValueError)])
 def test_pv_route_refuses_outside_the_gram_envelope(n, gamma, r, error):
     # the Gram route refuses non-even gamma at N > 64; at (800, 4, 1.5) the
-    # seed probability is e^-708
+    # seed probability is e^-708.  Beyond |z| = 1.5 the transport once read
+    # 24.98 against the Gram route's 22.24 at (8, 2, 4), 304.8 against -8.32
+    # at (8, -0.5, 8), and overflowed at (4, 1.3, 14)
     with pytest.raises(error):
         ginibre_moment_pv(n, gamma, r * cmath.exp(0.4j))
 

@@ -20,6 +20,7 @@ def test_mc_vs_exact_prints_one_line_per_point(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 8
     assert all("sigma" in line and "ess=" in line for line in lines)
+    assert sum(line.startswith("TruncatedCUE(") for line in lines) == 2
     assert code == (1 if any("OUTSIDE 3 SIGMA" in line for line in lines) else 0)
 
 

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from charpoly.verify import CHECKS, run_verification_suite
+from charpoly.ensembles import Ginibre, InducedGinibre, TruncatedCUE
+from charpoly.verify import CHECKS, moment_routes, run_verification_suite
 
 
 def test_individual_checks_quick():
@@ -44,3 +45,17 @@ def test_report_shape_and_determinism():
 def test_level_validation():
     with pytest.raises(ValueError):
         run_verification_suite("medium", 1)
+
+
+@pytest.mark.parametrize("model, gamma, labels", [
+    (Ginibre(8), 2.0, ["exact", "gram"]),
+    (Ginibre(8), 1.3, ["gram"]),
+    (TruncatedCUE(8, 6), 4.0, ["exact", "gram"]),
+])
+def test_route_table_takes_the_model(model, gamma, labels):
+    assert [label for label, _ in moment_routes(model, gamma, 0.5)] == labels
+
+
+def test_route_table_refuses_a_model_without_routes():
+    with pytest.raises(ValueError, match="no moment routes"):
+        moment_routes(InducedGinibre(8, 1.0), 2.0, 0.5)
