@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Monte Carlo vs exact-duality comparison sweep for the Ginibre and
-truncated-CUE moments, printed as one line per (model, k, z) row.  Each
-reference is the first route of ``charpoly.verify.moment_routes`` for the
-row's model that accepts the point, which is the exact duality at these
-integer k; the Ginibre rows shift their samples by the boundary expansion.
+truncated-CUE moments, printed as one line per (model, k, z) row.  Each row
+is one ``charpoly.verify.mc_versus_route`` call: its reference is the first
+route of the row's model that accepts the point, which is the exact duality
+at these integer k, and the row passes within ``MC_SIGMAS`` standard errors
+of it.  The Ginibre rows shift their samples by the boundary expansion.
 
 Usage:
     python scripts/mc_vs_exact.py [--samples 200000] [--seed 1]
@@ -11,11 +12,10 @@ Usage:
 
 import argparse
 import sys
-import time
 
 from charpoly.asymptotics import ginibre_edge
-from charpoly.ensembles import ChargeConfiguration, Ginibre, TruncatedCUE, mc_moment
-from charpoly.verify import first_route, moment_routes
+from charpoly.ensembles import MC_SIGMAS, Ginibre, TruncatedCUE
+from charpoly.verify import mc_versus_route
 
 
 def main(argv=None) -> int:
@@ -28,18 +28,16 @@ def main(argv=None) -> int:
     rows += [(TruncatedCUE(8, 6), 1, 0.5, None), (TruncatedCUE(2, 1), 1, 0.0, None)]
     bad = 0
     for model, k, z, log_shift in rows:
-        t0 = time.time()
-        route, ref = first_route(moment_routes(model, 2.0 * k, z))
-        est = mc_moment(model, ChargeConfiguration((z,), (2.0 * k,)), args.samples,
-                        seed=args.seed, log_shift=log_shift)
+        route, ref, est, seconds = mc_versus_route(model, 2.0 * k, z, args.samples, args.seed,
+                                                   log_shift)
         nsig = est.sigmas(ref)
-        ok = nsig <= 3.0
+        ok = nsig <= MC_SIGMAS
         bad += not ok
         print(
             f"{model} k={k} z={z}: {route}_log={ref:+.6f} "
             f"mc_log={est.log_value:+.6f} dev={nsig:.2f} sigma "
             f"ess={est.ess:.0f}/{est.n_samples} "
-            f"[{time.time()-t0:.1f}s] {'ok' if ok else 'OUTSIDE 3 SIGMA'}"
+            f"[{seconds:.1f}s] {'ok' if ok else f'OUTSIDE {MC_SIGMAS:g} SIGMA'}"
         )
     return 1 if bad else 0
 

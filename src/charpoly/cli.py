@@ -21,8 +21,8 @@ from . import asymptotics as asym
 from . import dualities as dual
 from . import gap as gapmod
 from . import painleve as pain
-from .ensembles import ChargeConfiguration, Ginibre, TruncatedCUE, mc_moment
-from .verify import (EXPANSIONS, RunReport, _result, first_route, moment_routes,
+from .ensembles import MC_SIGMAS, Ginibre, TruncatedCUE
+from .verify import (EXPANSIONS, RunReport, _result, mc_versus_route, moment_routes,
                      run_verification_suite)
 
 _EXIT_OK, _EXIT_CHECK_FAILED, _EXIT_USAGE = 0, 1, 2
@@ -85,16 +85,14 @@ def cmd_exact(args) -> RunReport:
 
 def cmd_mc(args) -> RunReport:
     rep = RunReport("mc", vars_of(args), seed=args.seed)
-    model, gamma = _model_and_gamma(args)
-    charges = ChargeConfiguration((args.z,), (gamma,))
-    route, ref = first_route(moment_routes(model, gamma, args.z))
-    est = mc_moment(model, charges, args.samples, args.seed)
+    route, ref, est, _ = mc_versus_route(*_model_and_gamma(args), args.z, args.samples,
+                                         args.seed)
     diagnostics = ("mean_shifted", "stderr_shifted", "log_shift", "n_samples", "ess")
     rep.outputs.append(
         _record("moment", "mc", est.log_value, {key: getattr(est, key) for key in diagnostics})
     )
     rep.outputs.append(_record("moment", route, ref))
-    rep.checks.append(asdict(_result("mc_within_3_stderr", est.sigmas(ref), 3.0)))
+    rep.checks.append(asdict(_result("mc_within_3_stderr", est.sigmas(ref), MC_SIGMAS)))
     return rep
 
 
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Moments of characteristic polynomials of non-Hermitian "
         "random matrices: exact dualities, Painleve transport, Monte Carlo, "
         "and asymptotic expansions.",
-        parents=[output_opts],
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,6 @@ from .specfun import integer, log_gamma_ratio
 __all__ = [
     "GinibreWeight",
     "InducedGinibre",
-    "TruncatedCUEWeight",
     "RadialWeightSpec",
     "log_r_gamma_zero",
     "log_tcue_r_gamma_one",
@@ -45,8 +44,8 @@ __all__ = [
 ]
 
 
-# one class per matrix model, in ``ensembles``; the *Weight names are aliases
-GinibreWeight, TruncatedCUEWeight = Ginibre, TruncatedCUE
+# one class per matrix model, in ``ensembles``; GinibreWeight is an alias
+GinibreWeight = Ginibre
 RadialWeightSpec = Ginibre | InducedGinibre | TruncatedCUE
 
 

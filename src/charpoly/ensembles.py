@@ -44,6 +44,7 @@ __all__ = [
     "EnsembleSpec",
     "ChargeConfiguration",
     "MCEstimate",
+    "MC_SIGMAS",
     "sample_haar_unitary",
     "mc_moment",
     "worker_count",
@@ -52,6 +53,7 @@ __all__ = [
 _CHUNK = 4096
 _BLOCK = 1 << 18  # Gaussian entries drawn per chunk at most: 4 MB complex
 _kept = {}  # key: per-chunk draws, of the latest mc_moment call within _BLOCK
+MC_SIGMAS = 3.0  # the Monte Carlo gate: an estimate passes within this many standard errors
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class MCEstimate:
         dev = abs(self.mean_shifted - math.exp(log_ref - self.log_shift))
         return dev / max(self.stderr_shifted, 1e-300)
 
-    def within(self, log_ref: float, n_sigma: float = 3.0) -> bool:
+    def within(self, log_ref: float, n_sigma: float = MC_SIGMAS) -> bool:
         """Is exp(log_ref) within n_sigma standard errors of the estimate?"""
         return self.sigmas(log_ref) <= n_sigma
 

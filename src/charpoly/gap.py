@@ -118,7 +118,11 @@ def _log_gram_det(e: GapEnsemble, weight, a: float, b: float, width: float) -> f
 
     Against 80-260-digit mpmath Hankels of exact moments (k <= 14, LUE alpha to
     800, JUE alpha and beta to 580, non-integer ones included) ln P is within
-    5e-12 + 4e-16 |ln C|; the floor is the rounding of ln C."""
+    5e-12 + 4e-16 |ln C|; the floor is the rounding of ln C.  A window that
+    rounds to zero width (an x so far out that |x| swamps the weight's scale)
+    raises FloatingPointError."""
+    if not b > a:
+        raise FloatingPointError(f"gap window [{a}, {b}] rounds to zero width")
     k, n = e.k, math.ceil((b - a) / width)
     grid, log_gl = _panels(n)
     t, lw = weight(a + (b - a) / n * grid)

@@ -25,7 +25,7 @@ __all__ = [
 
 
 def _polar_grid(center: complex, r_max: float, n_r: int, n_th: int, mu: float = 0.0):
-    """Polar quadrature grid around ``center``.
+    """(nodes, weights) of a polar quadrature grid around ``center``.
 
     mu = 0: plain area element r dr dtheta (Gauss-Legendre radially).
     mu < 0: the weights absorb the radial factor r^mu of a centered
@@ -50,8 +50,7 @@ def _polar_grid(center: complex, r_max: float, n_r: int, n_th: int, mu: float = 
     wth = 2.0 * math.pi / n_th
     lam = center + np.outer(r, np.exp(1j * th)).ravel()
     wgt = (np.outer(wr_eff, np.full(n_th, wth))).ravel()
-    rad = np.outer(r, np.ones(n_th)).ravel()
-    return lam, wgt, rad
+    return lam, wgt
 
 
 def _charge_factor(lam: np.ndarray, charges: ChargeConfiguration, skip: int = -1):
@@ -102,11 +101,11 @@ def planar_moment_ginibre(
     reach = max([abs(z) for z in charges.points], default=0.0)
     r_max = abs(center) + reach + math.sqrt(60.0 / n) + 1.0
     # a centered negative-exponent charge's radial factor lives in the measure
-    lam, wgt, _ = _polar_grid(center, r_max, n_r, n_th, mu=mu)
+    lam, wgt = _polar_grid(center, r_max, n_r, n_th, mu=mu)
     wfun = np.exp(-n * np.abs(lam) ** 2)
     f = wfun * _charge_factor(lam, charges, skip=idx)
     # normalization on a plain area-measure grid
-    lam0, wgt0, _ = _polar_grid(0.0 + 0.0j, math.sqrt(60.0 / n) + 1.0, n_r, n_th)
+    lam0, wgt0 = _polar_grid(0.0 + 0.0j, math.sqrt(60.0 / n) + 1.0, n_r, n_th)
     wfun0 = np.exp(-n * np.abs(lam0) ** 2)
     if n == 1:
         return math.log(float(np.sum(wgt * f)) / float(np.sum(wgt0 * wfun0)))
@@ -124,7 +123,7 @@ def lemniscate_partition_quadrature(
     exp(-2(|lam|^4 - t(lam^2 + conj(lam)^2))) and |lam_1-lam_2|^2, by direct
     4-dimensional tensor quadrature (bilinearly reduced)."""
     r_max = (0.5 * (abs(t) + math.sqrt(t * t + 40.0))) ** 0.5 + 1.5
-    lam, wgt, _ = _polar_grid(0.0 + 0.0j, r_max, n_r, n_th)
+    lam, wgt = _polar_grid(0.0 + 0.0j, r_max, n_r, n_th)
     expo = -2.0 * (np.abs(lam) ** 4 - 2.0 * t * np.real(lam**2))
     f = np.exp(expo)
     s0, s1, s2 = _pair_partition_sums(f, lam, wgt)

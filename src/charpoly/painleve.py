@@ -23,6 +23,7 @@ t = 8 for PIV) and sums its transport integral outward from there.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -253,7 +254,10 @@ class SigmaInit:
 
 
 def log_derivatives(fn: Callable[[float], float], t0: float, h: float):
-    """(f, f', f'', f''') by Richardson-extrapolated central differences."""
+    """(f, f', f'', f''') by Richardson-extrapolated central differences;
+    FloatingPointError where h^3 falls below the normal floats."""
+    if abs(h) ** 3 < sys.float_info.min:
+        raise FloatingPointError(f"difference step h={h} is too small: h^3 underflows")
     f = {j: fn(t0 + j * h) for j in (-4, -2, -1, 0, 1, 2, 4)}
     d1h = (f[-2] - 8 * f[-1] + 8 * f[1] - f[2]) / (12 * h)
     d1h2 = (f[-4] - 8 * f[-2] + 8 * f[2] - f[4]) / (24 * h)
@@ -272,27 +276,25 @@ def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
     """Initial data (t0, sigma, sigma', sigma'' hint) from Richardson
     differences of step h on logp = ln F, the probability the family
     transports (``transport_integrand`` is d ln F/dt):
-    PIV sigma = (ln F)';  PV sigma = t (ln F)';
-    PVI sigma = t(1-t) (ln F)' + b1 b2 t - (b1 b2 + b3 b4)/2.
+    PV sigma = t (ln F)';  PVI sigma = t(1-t) (ln F)' + b1 b2 t - (b1 b2 + b3 b4)/2.
     The default step h is 4e-3 of the distance from t0 to the nearest
     singular point of the sigma-form, where a gap probability's ln F has a
-    log singularity: 4e-3 t0 for PV and 4e-3 min(t0, 1 - t0) for PVI; PIV
-    has none, and takes 4e-3 max(1, |t0|).  The sigma'' hint
-    selects the root branch.  Refuses t0 outside the family's domain and an
-    F that is identically 1 at t0 (ValueError), and an F that underflows
-    there (FloatingPointError).
+    log singularity: 4e-3 t0 for PV and 4e-3 min(t0, 1 - t0) for PVI.  The
+    sigma'' hint selects the root branch.  Refuses PIV, whose connection
+    solution is one boundary-value solve (``piv_solution``) with no seed,
+    t0 outside the family's domain and an F that is identically 1 at t0
+    (ValueError), and an F that underflows there (FloatingPointError).
     """
+    if isinstance(f, PIV):
+        raise ValueError("PIV takes no seed: its connection solution is piv_solution(k)")
     _check_domain(f, t0)
     if h is None:
-        h = 4e-3 * (max(1.0, abs(t0)) if isinstance(f, PIV)
-                    else min(t0, 1.0 - t0) if isinstance(f, PVI) else t0)
+        h = 4e-3 * (min(t0, 1.0 - t0) if isinstance(f, PVI) else t0)
     L0, L1, L2, L3 = log_derivatives(logp, t0, h)
     if L0 < math.log(1e-300):
         raise FloatingPointError(f"probability underflows at t0={t0} (log P = {L0:.1f})")
     if L0 == 0.0:
         raise ValueError(f"probability is identically 1 at t0={t0}; no sigma data there")
-    if isinstance(f, PIV):
-        return SigmaInit(t0, L1, L2, L3, log_f0=L0)
     if isinstance(f, PV):
         return SigmaInit(t0, t0 * L1, L1 + t0 * L2, 2 * L2 + t0 * L3, log_f0=L0)
     if isinstance(f, PVI):

@@ -1,5 +1,5 @@
 """Scalar special functions: Barnes G, Gamma ratios and the upper incomplete
-gamma in log form, erfc, and the one integer test of exponents and sizes.
+gamma in log form, complex erfc, and the one integer test of exponents and sizes.
 
 Everything ensemble-sized is exposed in log form so that constants remain
 finite for matrix orders up to ~10^3.
@@ -14,7 +14,6 @@ __all__ = [
     "integer",
     "log_barnes_g",
     "log_gamma_ratio",
-    "erfc",
     "erfc_complex",
 ]
 
@@ -103,7 +102,10 @@ def log_gamma_ratio(a: float, b: float) -> float:
 
 
 def _log_upper_gamma_cf(a: float, x: float) -> float:
-    """ln of the (unregularized) upper incomplete gamma via Lentz CF, x > a."""
+    """ln of the (unregularized) upper incomplete gamma via Lentz CF, x > a;
+    -inf at x = inf."""
+    if x == math.inf:
+        return -math.inf
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -124,11 +126,6 @@ def _log_upper_gamma_cf(a: float, x: float) -> float:
         if abs(delta - 1.0) < 1e-16:
             break
     return a * math.log(x) - x + math.log(h)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function (2/sqrt(pi)) int_x^inf e^{-t^2} dt."""
-    return float(_sp.erfc(x))
 
 
 def erfc_complex(z: complex) -> complex:

@@ -26,12 +26,12 @@ from . import dualities as dual
 from . import gap as gapmod
 from . import oracles
 from . import painleve as pain
-from .ensembles import (ChargeConfiguration, Ginibre, TruncatedCUE, _map_chunks, mc_moment,
-                        worker_count)
+from .ensembles import (MC_SIGMAS, ChargeConfiguration, Ginibre, TruncatedCUE, _map_chunks,
+                        mc_moment, worker_count)
 from .specfun import integer
 
 __all__ = ["CheckResult", "RunReport", "run_verification_suite", "CHECKS", "moment_routes",
-           "first_route", "EXPANSIONS", "TRENDS"]
+           "first_route", "mc_versus_route", "mc_detail", "EXPANSIONS", "TRENDS"]
 
 
 @dataclass
@@ -144,6 +144,25 @@ def first_route(routes):
     raise ValueError("every route refused (" + "; ".join(reasons) + ")")
 
 
+def mc_versus_route(model, gamma: float, z: complex, n_samples: int, seed: int,
+                    log_shift: float | None = None):
+    """(route, reference, estimate, seconds): ``mc_moment``'s estimate of
+    ln E|det(A - z)|^gamma and the first route of ``moment_routes`` that
+    accepts the point, timed together.  The charge is built first, so a
+    non-integrable gamma is refused as such, and the reference before any
+    sample is drawn.  An estimate passes within ``MC_SIGMAS`` standard errors."""
+    t0 = time.perf_counter()
+    charges = ChargeConfiguration((z,), (gamma,))
+    route, ref = first_route(moment_routes(model, gamma, z))
+    est = mc_moment(model, charges, n_samples, seed, log_shift=log_shift)
+    return route, ref, est, time.perf_counter() - t0
+
+
+def mc_detail(est, seconds: float) -> str:
+    """The "<n> samples, ESS <e>, <s>s" detail of a Monte Carlo check."""
+    return f"{est.n_samples} samples, ESS {est.ess:.0f}, {seconds:.1f}s"
+
+
 def _pair_correlator(p, k1, k2, step=1.0):
     """Charges 2 k1, 2 k2 at z + step u1/sqrt(N), z + step u2/sqrt(N) by the
     finite-N correlator."""
@@ -191,8 +210,9 @@ EXPANSIONS = {
 # ---------------------------------------------------------------------------
 
 def check_mc_vs_exact_ginibre(level: str, seed: int):
-    """Monte Carlo vs the exact LUE-duality route (3 stderr): N = 8, and at
-    the full level also N = 200 at |z| = 1."""
+    """Monte Carlo vs the route table's reference (``mc_versus_route``, the
+    exact LUE duality at these integer k): N = 8, and at the full level also
+    N = 200 at |z| = 1; each point's seconds are also a runtime row."""
     full = level == "full"
     points = (
         [(8, k, z) for k in (1, 2) for z in (0.0, 0.5, 1.0)] + [(200, 1, 1.0)]
@@ -203,24 +223,10 @@ def check_mc_vs_exact_ginibre(level: str, seed: int):
     for i, (n, k, z) in enumerate(points):
         samples = 200_000 if full and n == 8 else 20_000
         tag = f"k{k}_z{z}" if n == 8 else f"n{n}_k{k}_z{z}"
-        t0 = time.time()
-        exact = dual.ginibre_moment_exact(n, k, z)
-        est = mc_moment(
-            Ginibre(n),
-            ChargeConfiguration((z,), (2.0 * k,)),
-            samples,
-            seed=seed + i,
-            log_shift=asym.ginibre_edge(n, float(k), z),
-        )
-        dt = time.time() - t0
-        out.append(
-            _result(
-                f"c01_mc_ginibre_{tag}",
-                est.sigmas(exact),
-                3.0,
-                f"{samples} samples, ESS {est.ess:.0f}, {dt:.1f}s",
-            )
-        )
+        _, ref, est, dt = mc_versus_route(Ginibre(n), 2.0 * k, z, samples, seed + i,
+                                          log_shift=asym.ginibre_edge(n, float(k), z))
+        out.append(_result(f"c01_mc_ginibre_{tag}", est.sigmas(ref), MC_SIGMAS,
+                           mc_detail(est, dt)))
         out.append(_result(f"c01_runtime_{tag}", dt, 60.0, "seconds per point"))
     return out
 
@@ -334,23 +340,17 @@ def check_noninteger_routes(level: str, seed: int):
 
 
 def check_tcue(level: str, seed: int):
-    """Truncated-CUE Monte Carlo vs the Andreief route, the
-    C_{2,1,1} = 1/2 constant, the Andreief route vs the polynomial-kernel
+    """Truncated-CUE Monte Carlo vs the route table's reference
+    (``mc_versus_route``, the Andreief route at k = 1) and vs the closed form
+    C_{2,1,1} = 1/2, the Andreief route vs the polynomial-kernel
     correlator, and the Gram route on |z| = 1 vs the Morris product
     (``log_tcue_r_gamma_one``)."""
     samples = 200_000 if level == "full" else 20_000
-    exact = dual.tcue_moment_exact(8, 6, 1, 0.5, 0.5)
-
-    def mc(spec, z, seed):
-        t0 = time.time()
-        est = mc_moment(spec, ChargeConfiguration((z,), (2.0,)), samples, seed=seed)
-        return est, f"{samples} samples, ESS {est.ess:.0f}, {time.time() - t0:.1f}s"
-
-    est, detail = mc(TruncatedCUE(8, 6), 0.5, seed)
-    out = [_result("c08_mc_tcue", est.sigmas(exact), 3.0, detail)]
-    est, detail = mc(TruncatedCUE(2, 1), 0.0, seed + 1)
-    out.append(_result("c08_mc_c211", est.sigmas(math.log(0.5)), 3.0,
-                       f"E|T_11|^2 = 1/2, {detail}"))
+    _, ref, est, dt = mc_versus_route(TruncatedCUE(8, 6), 2.0, 0.5, samples, seed)
+    out = [_result("c08_mc_tcue", est.sigmas(ref), MC_SIGMAS, mc_detail(est, dt))]
+    _, _, est, dt = mc_versus_route(TruncatedCUE(2, 1), 2.0, 0.0, samples, seed + 1)
+    out.append(_result("c08_mc_c211", est.sigmas(math.log(0.5)), MC_SIGMAS,
+                       f"E|T_11|^2 = 1/2, {mc_detail(est, dt)}"))
     a = dual.tcue_moment_exact(6, 4, 2, 0.5, 0.5)
     b = dual.correlator_finiteN(TruncatedCUE(6, 4),
                                 ChargeConfiguration((0.5,), (4.0,)))
@@ -376,7 +376,7 @@ def check_hciz(level: str, seed: int):
     )
     mc, err = oracles.haar_mc_hciz(u, v, 100_000 if level == "full" else 20_000, seed)
     dev = abs(pred - mc) / max(err, 1e-300)
-    out = [_result("c09_hciz_vs_haar_mc", dev, 3.0, "k=3 complex points")]
+    out = [_result("c09_hciz_vs_haar_mc", dev, MC_SIGMAS, "k=3 complex points")]
     # k = 2: e^B (e^{A-B} - 1)/(A - B) with A - B = (u1 - u2)(conj v1 - conj v2)
     worst = 0.0
     for sep in (1e-9, 1e-7, 1e-5):
@@ -497,12 +497,10 @@ def check_edge_multicharge(level: str, seed: int):
             fk = asym.edge_f_km(u, v)
             worst = max(worst, abs(fd - fk) / max(abs(fd), 1e-300))
         out.append(_result(f"c13_edge_routes_k{k}", worst, 1e-7))
-    from .specfun import erfc
-
     worst = max(
         abs(
             complex(asym.edge_f_det([u], [u])).real * math.sqrt(2.0 * math.pi)
-            - 0.5 * erfc(-2.0 * u / math.sqrt(2.0))
+            - 0.5 * scipy.special.erfc(-2.0 * u / math.sqrt(2.0))
         )
         for u in (-1.0, -0.3, 0.0, 0.4, 1.2)
     )

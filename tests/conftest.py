@@ -34,12 +34,12 @@ def _planar_moment_tcue(m, charges, n_r=400, n_th=256):
         raise ValueError("non-even exponents are supported at z = 0 only here")
     if mu >= 0.0:
         idx, mu = -1, 0.0
-    lam, wgt, _ = _polar_grid(0.0 + 0.0j, 1.0, n_r, n_th, mu=mu)
+    lam, wgt = _polar_grid(0.0 + 0.0j, 1.0, n_r, n_th, mu=mu)
     inside = np.abs(lam) < 1.0
     wfun = np.zeros(lam.shape)
     wfun[inside] = (1.0 - np.abs(lam[inside]) ** 2) ** (m - 2)
     f = wfun * _charge_factor(lam, charges, skip=idx)
-    lam0, wgt0, _ = _polar_grid(0.0 + 0.0j, 1.0, n_r, n_th)
+    lam0, wgt0 = _polar_grid(0.0 + 0.0j, 1.0, n_r, n_th)
     wfun0 = np.zeros(lam0.shape)
     ins0 = np.abs(lam0) < 1.0
     wfun0[ins0] = (1.0 - np.abs(lam0[ins0]) ** 2) ** (m - 2)

@@ -11,6 +11,7 @@ import pytest
 import scipy
 
 import charpoly
+from charpoly import verify
 from charpoly.cli import main
 from charpoly.dualities import ginibre_moment_toeplitz
 from charpoly.ensembles import worker_count
@@ -213,6 +214,25 @@ def test_csv_output_is_parseable(capsys, tmp_path):
     assert len(rows) >= 2
 
 
+def test_piv_far_right_tail_is_valid_json(capsys):
+    # the tail integral once squared x to inf and printed "value": NaN
+    def refuse(const):
+        raise ValueError(f"not JSON: {const}")
+
+    code, out = run_cli(capsys, "painleve", "--family", "p4", "--k", "1", "--x", "1e300")
+    assert code == 0
+    doc = json.loads(out, parse_constant=refuse)
+    assert doc["outputs"][0]["log_value"] == 0.0 and doc["outputs"][0]["value"] == 1.0
+
+
+@pytest.mark.parametrize("option", [["--csv"], ["--out", "report.json"]], ids=["csv", "out"])
+def test_output_options_belong_to_the_subcommand(capsys, option):
+    # the top-level copies were parsed and then ignored
+    with pytest.raises(SystemExit) as exc:
+        main([*option, "exact", "--n", "8", "--k", "1", "--z", "0.5"])
+    assert exc.value.code == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
@@ -259,28 +279,37 @@ def test_empty_matrix_is_a_usage_error(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+_EVERY_ROUTE_REFUSED = "error: every route refused (gram:"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, start",
     [
-        ["painleve", "--family", "p4", "--k", "-1", "--x", "0"],
-        ["painleve", "--family", "p4", "--k", "10", "--x", "0"],
-        ["exact", "--n", "100", "--gamma", "1.3", "--z", "0.45"],
+        (["painleve", "--family", "p4", "--k", "-1", "--x", "0"], "error: "),
+        (["painleve", "--family", "p4", "--k", "10", "--x", "0"], "error: "),
+        (["exact", "--n", "100", "--gamma", "1.3", "--z", "0.45"], _EVERY_ROUTE_REFUSED),
         # tcue-edge once read k as int(k) or 1 and printed the k = 1 answer
-        ["asym", "--expansion", "tcue-edge", "--n", "64", "--kappa", "1", "--u1", "0.7",
-         "--k", "1.3"],
-        ["asym", "--expansion", "tcue-edge", "--n", "64", "--kappa", "1", "--u1", "0.7",
-         "--k", "0.5"],
+        (["asym", "--expansion", "tcue-edge", "--n", "64", "--kappa", "1", "--u1", "0.7",
+          "--k", "1.3"], "error: "),
+        (["asym", "--expansion", "tcue-edge", "--n", "64", "--kappa", "1", "--u1", "0.7",
+          "--k", "0.5"], "error: "),
+        (["mc", "--n", "100", "--gamma", "1.3", "--z", "0.45"], _EVERY_ROUTE_REFUSED),
+        (["asym", "--expansion", "interior", "--n", "100", "--gamma", "1.3", "--z", "0.45"],
+         _EVERY_ROUTE_REFUSED),
     ],
     ids=["piv-order-minus-one", "piv-order-ten", "exact-every-route-refuses",
-         "tcue-edge-k1.3", "tcue-edge-k0.5"],
+         "tcue-edge-k1.3", "tcue-edge-k0.5", "mc-every-route-refuses",
+         "asym-every-route-refuses"],
 )
-def test_out_of_domain_is_a_usage_error_with_one_line(capsys, argv):
+def test_out_of_domain_is_a_usage_error_with_one_line(capsys, monkeypatch, argv, start):
+    # mc looks its reference up before it would draw a sample
+    monkeypatch.setattr(verify, "mc_moment", lambda *a, **kw: pytest.fail("sampled"))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith(start)
 
 
 @pytest.mark.parametrize(
@@ -394,8 +423,16 @@ def test_exact_agreement_over_returned_routes(capsys):
     [
         ["painleve", "--family", "p4", "--k", "1", "--x", "0", "--tol", "3e-14"],
         ["painleve", "--family", "p4", "--k", "-0.5", "--x", "-60"],
+        # each once raised ZeroDivisionError: a difference step whose cube
+        # underflows, or a gap window that rounds to zero width
+        ["painleve", "--family", "p5", "--k", "1", "--x", "1e-120"],
+        ["painleve", "--family", "p6", "--k", "1", "--alpha", "1", "--beta", "2",
+         "--x", "1e-300"],
+        ["gap", "--ensemble", "lue", "--k", "2", "--x", "1e50"],
+        ["asym", "--expansion", "edge", "--n", "8", "--k", "1", "--z", "1e10"],
     ],
-    ids=["piv-residual-gate", "piv-f-overflows"],
+    ids=["piv-residual-gate", "piv-f-overflows", "pv-step-underflows", "pvi-step-underflows",
+         "lue-tail-zero-window", "gue-zero-window"],
 )
 def test_numerical_refusal_exits_1_with_one_line(capsys, argv):
     code = main(argv)

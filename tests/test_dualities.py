@@ -10,7 +10,6 @@ from charpoly.asymptotics import tcue_edge
 from charpoly.dualities import (
     GinibreWeight,
     InducedGinibre,
-    TruncatedCUEWeight,
     correlator_finiteN,
     ginibre_moment_exact,
     ginibre_moment_pv,
@@ -291,7 +290,7 @@ def test_tcue_exact_refuses_a_non_real_or_negative_xy(x, y):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: GinibreWeight(0), lambda: InducedGinibre(0, 1.0), lambda: TruncatedCUEWeight(3, 0),
+    [lambda: GinibreWeight(0), lambda: InducedGinibre(0, 1.0), lambda: TruncatedCUE(3, 0),
      lambda: tcue_moment_exact(3, 0, 1, 0.5, 0.5), lambda: ginibre_moment_exact(0, 1, 0.5),
      lambda: ginibre_moment_pv(0, 2.0, 0.5)],
     ids=["ginibre", "induced", "tcue", "tcue-exact", "ginibre-exact", "ginibre-pv"],
@@ -316,7 +315,7 @@ def test_determinant_routes_refuse_a_non_integer_size(make):
 
 def test_correlator_takes_the_ensemble_model():
     cc = ChargeConfiguration((0.5,), (2.0,))
-    assert GinibreWeight is Ginibre and TruncatedCUEWeight is TruncatedCUE
+    assert GinibreWeight is Ginibre
     assert correlator_finiteN(Ginibre(8), cc) == pytest.approx(
         ginibre_moment_exact(8, 1, 0.5), abs=1e-10)
 
@@ -502,7 +501,7 @@ def test_correlator_induced_noninteger_vs_planar_oracle():
 def test_correlator_tcue_weight_matches_jue_duality():
     for m, n, k, z in ((5, 3, 1, 0.4), (6, 4, 2, 0.5), (5, 3, 1, 0.3), (7, 4, 2, 0.6)):
         got = correlator_finiteN(
-            TruncatedCUEWeight(m, n), ChargeConfiguration((z,), (2.0 * k,))
+            TruncatedCUE(m, n), ChargeConfiguration((z,), (2.0 * k,))
         )
         assert got == pytest.approx(tcue_moment_exact(m, n, k, z, z), abs=1e-10)
 

@@ -282,7 +282,9 @@ def test_init_from_gap_errors():
     with pytest.raises(ValueError):
         init_from_gap(fam, 1.5)  # beyond the support, P = 1 identically
     with pytest.raises(FloatingPointError):
-        init_from_gap(PIV(2.0), -40.0)  # gap probability underflows
+        init_from_gap(PV(2.0, 0.0), 1e-100)  # gap probability underflows (log P = -923.5)
+    with pytest.raises(ValueError, match="piv_solution"):
+        init_from_gap(PIV(2.0), 0.0)  # PIV is one boundary-value solve, never seeded
     with pytest.raises(ValueError):
         init_from_gap(PV(1.5, 0.0), 1.0)  # non-integer determinant size
 

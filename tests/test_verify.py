@@ -3,8 +3,10 @@ import re
 
 import pytest
 
-from charpoly.ensembles import Ginibre, InducedGinibre, TruncatedCUE
-from charpoly.verify import CHECKS, moment_routes, run_verification_suite
+from charpoly.asymptotics import ginibre_edge
+from charpoly.dualities import ginibre_moment_exact, tcue_moment_exact
+from charpoly.ensembles import ChargeConfiguration, Ginibre, InducedGinibre, TruncatedCUE, mc_moment
+from charpoly.verify import CHECKS, mc_versus_route, moment_routes, run_verification_suite
 
 
 def test_individual_checks_quick():
@@ -59,3 +61,16 @@ def test_route_table_takes_the_model(model, gamma, labels):
 def test_route_table_refuses_a_model_without_routes():
     with pytest.raises(ValueError, match="no moment routes"):
         moment_routes(InducedGinibre(8, 1.0), 2.0, 0.5)
+
+
+@pytest.mark.parametrize("model, k, z, exact, log_shift", [
+    (Ginibre(8), 2, 0.5, lambda: ginibre_moment_exact(8, 2, 0.5), ginibre_edge(8, 2.0, 0.5)),
+    (TruncatedCUE(8, 6), 1, 0.5, lambda: tcue_moment_exact(8, 6, 1, 0.5, 0.5), None),
+], ids=["ginibre", "tcue"])
+def test_mc_versus_route_is_the_route_table_and_mc_moment(model, k, z, exact, log_shift):
+    route, ref, est, seconds = mc_versus_route(model, 2.0 * k, z, 3000, 5, log_shift)
+    direct = mc_moment(model, ChargeConfiguration((z,), (2.0 * k,)), 3000, 5, log_shift)
+    assert route == "exact" and ref.hex() == exact().hex()
+    assert est.log_value.hex() == direct.log_value.hex()
+    assert est.stderr_shifted.hex() == direct.stderr_shifted.hex()
+    assert seconds > 0.0
