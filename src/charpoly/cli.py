@@ -133,12 +133,12 @@ def cmd_painleve(args) -> RunReport:
         log_f = pain.piv_log_f(args.k, args.x, tol=args.tol)
     else:  # seeded at t0 = x/2 < x, so F is transported, not read at its seed
         fam = (pain.PV(args.k, args.alpha) if args.family == "p5"
-               else pain.pvi_from_jue(args.k, args.alpha, args.beta))
+               else pain.PVI(args.k, args.alpha, args.beta))
         t0 = 0.5 * args.x
         sol = pain.solve_span(fam, pain.init_from_gap(fam, t0), t0, args.x, tol=args.tol)
         log_f = sol.log_f(args.x)
     try:
-        ens = pain.gap_ensemble(fam)
+        ens = fam.ensemble()
     except ValueError:  # PIV at a non-integer k has no gap ensemble
         ens = None
     route = {"p4": "piv-ode", "p5": "pv-ode", "p6": "pvi-ode"}[args.family]

@@ -137,10 +137,6 @@ class MCEstimate:
         return self.log_shift + math.log(self.mean_shifted)
 
     @property
-    def value(self) -> float:
-        return math.exp(self.log_shift) * self.mean_shifted
-
-    @property
     def ess(self) -> float:
         """Effective sample size (sum w)^2 / sum w^2 of the shifted weights
         w, from the stored mean and stderr: n / (1 + (n - 1) (stderr/mean)^2).

@@ -43,17 +43,13 @@ __all__ = [
     "SigmaInit",
     "SigmaSolution",
     "pvi_from_jue",
-    "jue_from_pvi",
     "heqn_params",
     "sigma_form_lhs",
     "heqn_lhs",
     "residual",
     "sigma_pp_roots",
-    "sigma_ppp",
-    "transport_integrand",
     "log_derivatives",
     "sigma_data",
-    "gap_ensemble",
     "init_from_gap",
     "solve_span",
     "F_from_sigma",
@@ -77,38 +73,120 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class PIV:
+    """sigma''^2 = (t sigma' - sigma)^2 - 4 sigma'^2 (sigma' + k) on the real
+    line; (ln F)' = sigma, and F is the GUE(k) largest-eigenvalue law."""
     k: float
+    domain = (-math.inf, math.inf)
+
+    def quadratic(self, t, s, sp):
+        u = t * sp - s
+        return 1.0, u**2 - 4 * sp**2 * (sp + self.k), 1.0 + u**2
+
+    def sigma_ppp(self, t, s, sp, spp):
+        return t * (t * sp - s) - 6 * sp**2 - 4 * self.k * sp
+
+    def integrand(self, t, s):
+        return s
+
+    def ensemble(self):
+        return _gap.GUE(self.k)
 
 
 @dataclass(frozen=True)
 class PV:
+    """(t sigma'')^2 = A^2 - 4 sigma'^2 (sigma' + k + alpha)(sigma' + k), with
+    A = sigma - t sigma' + 2 sigma'^2 + (2k + alpha) sigma', on t > 0;
+    sigma = t (ln F)', and F is the LUE(k, alpha) largest-eigenvalue law."""
     k: float
     alpha: float
+    domain = (0.0, math.inf)
+
+    def quadratic(self, t, s, sp):
+        k, a = self.k, self.alpha
+        A = s - t * sp + 2 * sp**2 + (2 * k + a) * sp
+        return t * t, A**2 - 4 * sp**2 * (sp + k + a) * (sp + k), 1.0 + (A / t) ** 2
+
+    def sigma_ppp(self, t, s, sp, spp):
+        k, a = self.k, self.alpha
+        A = s - t * sp + 2 * sp**2 + (2 * k + a) * sp
+        num = (
+            A * (4 * sp + 2 * k + a - t)
+            - t * spp
+            - 4 * sp * (sp + k + a) * (sp + k)
+            - 2 * sp**2 * (2 * sp + 2 * k + a)
+        )
+        return num / (t * t)
+
+    def integrand(self, t, s):
+        return s / t
+
+    def ensemble(self):
+        return _gap.LUE(self.k, self.alpha)
+
+    def default_step(self, t0):
+        return 4e-3 * t0
+
+    def sigma_init(self, t0, L0, L1, L2, L3):
+        return SigmaInit(t0, t0 * L1, L1 + t0 * L2, 2 * L2 + t0 * L3, log_f0=L0)
 
 
 @dataclass(frozen=True)
 class PVI:
-    b: tuple
+    """The JUE(k, alpha, beta) largest-eigenvalue law F on (0, 1), through
+    b = (k + h, k + h, h, (beta - alpha)/2) with h = (alpha + beta)/2:
+    sigma' (t(1-t) sigma'')^2 = C^2 - prod_j (sigma' - b_j^2), with
+    C = sigma'(2 sigma + (1 - 2t) sigma') + b1 b2 b3 b4, and
+    sigma = t(1-t) (ln F)' + b1 b2 t - (b1 b2 + b3 b4)/2."""
+    k: float
+    alpha: float
+    beta: float
+    b: tuple = field(init=False, repr=False, compare=False)
+    domain = (0.0, 1.0)
 
     def __post_init__(self):
-        b = tuple(float(x) for x in self.b)
-        if len(b) != 4:
-            raise ValueError("PVI requires four b parameters")
-        object.__setattr__(self, "b", b)
+        half = 0.5 * (self.alpha + self.beta)
+        b = (self.k + half, self.k + half, half, 0.5 * (self.beta - self.alpha))
+        object.__setattr__(self, "b", tuple(map(float, b)))
+
+    def quadratic(self, t, s, sp):
+        b1, b2, b3, b4 = self.b
+        P = t * (1.0 - t)
+        C = sp * (2 * s + (1 - 2 * t) * sp) + b1 * b2 * b3 * b4
+        prod = (sp - b1**2) * (sp - b2**2) * (sp - b3**2) * (sp - b4**2)
+        return sp * P * P, C**2 - prod, 1.0 + abs(C / P) ** 2
+
+    def sigma_ppp(self, t, s, sp, spp):
+        b1, b2, b3, b4 = self.b
+        P = t * (1.0 - t)
+        Pp = 1.0 - 2.0 * t
+        C = sp * (2 * s + Pp * sp) + b1 * b2 * b3 * b4
+        d1, d2, d3, d4 = sp - b1**2, sp - b2**2, sp - b3**2, sp - b4**2
+        s1 = d2 * d3 * d4 + d1 * d3 * d4 + d1 * d2 * d4 + d1 * d2 * d3
+        num = 4 * C * (s + Pp * sp) - s1 - (P * spp) ** 2 - 2 * sp * P * Pp * spp
+        return num / (2 * sp * P * P)
+
+    def integrand(self, t, s):
+        b1, b2, b3, b4 = self.b
+        return (s - b1 * b2 * t + 0.5 * (b1 * b2 + b3 * b4)) / (t * (1.0 - t))
+
+    def ensemble(self):
+        return _gap.JUE(self.k, self.alpha, self.beta)
+
+    def default_step(self, t0):
+        return 4e-3 * min(t0, 1.0 - t0)
+
+    def sigma_init(self, t0, L0, L1, L2, L3):
+        b1, b2, b3, b4 = self.b
+        P = t0 * (1.0 - t0)
+        Pp = 1.0 - 2.0 * t0
+        s = P * L1 + b1 * b2 * t0 - 0.5 * (b1 * b2 + b3 * b4)
+        sp = Pp * L1 + P * L2 + b1 * b2
+        spp = -2 * L1 + 2 * Pp * L2 + P * L3
+        return SigmaInit(t0, s, sp, spp, log_f0=L0)
 
 
 SigmaFamily = PIV | PV | PVI
-
-
-def pvi_from_jue(k: float, alpha: float, beta: float) -> PVI:
-    """b-parameters for the largest-eigenvalue JUE solution."""
-    half = 0.5 * (alpha + beta)
-    return PVI((k + half, k + half, half, 0.5 * (beta - alpha)))
-
-
-def jue_from_pvi(f: PVI) -> tuple[float, float, float]:
-    b1, b2, b3, b4 = f.b
-    return b1 - b3, b3 - b4, b3 + b4
+pvi_from_jue = PVI  # the PVI of the JUE(k, alpha, beta) largest-eigenvalue law
 
 
 def heqn_params(gamma: float, kappa: float, n: float) -> tuple:
@@ -122,41 +200,20 @@ def heqn_params(gamma: float, kappa: float, n: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# sigma-form left-hand sides, residuals, sigma'' roots, implicit sigma'''
+# sigma-form left-hand sides, residuals and sigma'' roots
 # ---------------------------------------------------------------------------
 
-_DOMAIN = {PIV: (-math.inf, math.inf), PV: (0.0, math.inf), PVI: (0.0, 1.0)}
-
-
 def _check_domain(f: SigmaFamily, *ts: float) -> None:
-    """ValueError unless every t lies in the family's open domain, where its
-    sigma-form is regular: PIV the real line, PV (0, inf), PVI (0, 1)."""
-    a, b = _DOMAIN[type(f)]
+    """ValueError unless every t lies in ``f.domain``, the open interval where
+    the family's sigma-form is regular."""
+    a, b = f.domain
     if not all(a < t < b for t in ts):
         raise ValueError(f"{type(f).__name__} sigma-form needs t in ({a}, {b}), got {ts}")
 
 
-def _sigma_quadratic(f: SigmaFamily, t, s, sp):
-    """(c, d, scale): at (t, s, s') the sigma-form reads c sigma''^2 = d, and
-    a d/c below -1e-9 scale is a negative discriminant, not round-off."""
-    if isinstance(f, PIV):
-        u = t * sp - s
-        return 1.0, u**2 - 4 * sp**2 * (sp + f.k), 1.0 + u**2
-    if isinstance(f, PV):
-        k, a = f.k, f.alpha
-        A = s - t * sp + 2 * sp**2 + (2 * k + a) * sp
-        return t * t, A**2 - 4 * sp**2 * (sp + k + a) * (sp + k), 1.0 + (A / t) ** 2
-    if isinstance(f, PVI):
-        b1, b2, b3, b4 = f.b
-        P = t * (1.0 - t)
-        C = sp * (2 * s + (1 - 2 * t) * sp) + b1 * b2 * b3 * b4
-        prod = (sp - b1**2) * (sp - b2**2) * (sp - b3**2) * (sp - b4**2)
-        return sp * P * P, C**2 - prod, 1.0 + abs(C / P) ** 2
-    raise TypeError(f"unknown family {f!r}")
-
-
 def sigma_form_lhs(f: SigmaFamily, t, s, sp, spp):
-    c, d, _ = _sigma_quadratic(f, t, s, sp)
+    """c sigma''^2 - d, the sigma-form of ``f.quadratic(t, s, sp)`` = (c, d, scale)."""
+    c, d, _ = f.quadratic(t, s, sp)
     return c * spp**2 - d
 
 
@@ -185,10 +242,15 @@ def sigma_pp_roots(f: SigmaFamily, t, s, sp):
 
     A discriminant below -1e-9 (relative), or a vanishing sigma''^2
     coefficient (PVI at sigma' = 0), raises BranchError; small negatives
-    clamp to the double root.
+    clamp to the double root.  A sigma-form that overflows the floats (PV
+    and PVI near t = 0) raises FloatingPointError.
     """
     _check_domain(f, t)
-    c, d, scale = _sigma_quadratic(f, t, s, sp)
+    try:
+        c, d, scale = f.quadratic(t, s, sp)
+    except OverflowError:  # a float ** that leaves the floats, as (A/t)^2 in PV
+        raise FloatingPointError(
+            f"{type(f).__name__} sigma-form overflows the floats at t={t}") from None
     if c == 0:
         raise BranchError(f"{type(f).__name__} sigma'' undefined at t={t}, sigma'={sp}")
     d = d / c
@@ -198,46 +260,6 @@ def sigma_pp_roots(f: SigmaFamily, t, s, sp):
         )
     r = math.sqrt(max(d, 0.0))
     return r, -r
-
-
-def sigma_ppp(f: SigmaFamily, t, s, sp, spp):
-    """sigma''' from implicit differentiation of the sigma-form (the flow
-    conserves the sigma-form LHS exactly)."""
-    if isinstance(f, PIV):
-        return t * (t * sp - s) - 6 * sp**2 - 4 * f.k * sp
-    if isinstance(f, PV):
-        k, a = f.k, f.alpha
-        A = s - t * sp + 2 * sp**2 + (2 * k + a) * sp
-        num = (
-            A * (4 * sp + 2 * k + a - t)
-            - t * spp
-            - 4 * sp * (sp + k + a) * (sp + k)
-            - 2 * sp**2 * (2 * sp + 2 * k + a)
-        )
-        return num / (t * t)
-    if isinstance(f, PVI):
-        b1, b2, b3, b4 = f.b
-        P = t * (1.0 - t)
-        Pp = 1.0 - 2.0 * t
-        C = sp * (2 * s + Pp * sp) + b1 * b2 * b3 * b4
-        d1, d2, d3, d4 = sp - b1**2, sp - b2**2, sp - b3**2, sp - b4**2
-        s1 = d2 * d3 * d4 + d1 * d3 * d4 + d1 * d2 * d4 + d1 * d2 * d3
-        num = 4 * C * (s + Pp * sp) - s1 - (P * spp) ** 2 - 2 * sp * P * Pp * spp
-        return num / (2 * sp * P * P)
-    raise TypeError(f"unknown family {f!r}")
-
-
-def transport_integrand(f: SigmaFamily, t, s):
-    """d/dt of the log-probability carried by the family:
-    PIV: sigma; PV: sigma/t; PVI: (sigma - b1 b2 t + (b1 b2 + b3 b4)/2)/(t(1-t))."""
-    if isinstance(f, PIV):
-        return s
-    if isinstance(f, PV):
-        return s / t
-    if isinstance(f, PVI):
-        b1, b2, b3, b4 = f.b
-        return (s - b1 * b2 * t + 0.5 * (b1 * b2 + b3 * b4)) / (t * (1.0 - t))
-    raise TypeError(f"unknown family {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,56 +297,29 @@ def sigma_data(f: SigmaFamily, logp: Callable[[float], float], t0: float,
                h: Optional[float] = None) -> SigmaInit:
     """Initial data (t0, sigma, sigma', sigma'' hint) from Richardson
     differences of step h on logp = ln F, the probability the family
-    transports (``transport_integrand`` is d ln F/dt):
-    PV sigma = t (ln F)';  PVI sigma = t(1-t) (ln F)' + b1 b2 t - (b1 b2 + b3 b4)/2.
-    The default step h is 4e-3 of the distance from t0 to the nearest
-    singular point of the sigma-form, where a gap probability's ln F has a
-    log singularity: 4e-3 t0 for PV and 4e-3 min(t0, 1 - t0) for PVI.  The
-    sigma'' hint selects the root branch.  Refuses PIV, whose connection
-    solution is one boundary-value solve (``piv_solution``) with no seed,
-    t0 outside the family's domain and an F that is identically 1 at t0
-    (ValueError), and an F that underflows there (FloatingPointError).
+    transports (``f.integrand`` is d ln F/dt), mapped to sigma by
+    ``f.sigma_init``.  The default step ``f.default_step(t0)`` is 4e-3 of
+    the distance from t0 to the nearest singular point of the sigma-form,
+    where a gap probability's ln F has a log singularity.  The sigma'' hint
+    selects the root branch.  Refuses PIV, whose connection solution is one
+    boundary-value solve (``piv_solution``) with no seed, t0 outside the
+    family's domain and an F that is identically 1 at t0 (ValueError), and
+    an F that underflows there (FloatingPointError).
     """
     if isinstance(f, PIV):
         raise ValueError("PIV takes no seed: its connection solution is piv_solution(k)")
     _check_domain(f, t0)
-    if h is None:
-        h = 4e-3 * (min(t0, 1.0 - t0) if isinstance(f, PVI) else t0)
-    L0, L1, L2, L3 = log_derivatives(logp, t0, h)
+    L0, L1, L2, L3 = log_derivatives(logp, t0, f.default_step(t0) if h is None else h)
     if L0 < math.log(1e-300):
         raise FloatingPointError(f"probability underflows at t0={t0} (log P = {L0:.1f})")
     if L0 == 0.0:
         raise ValueError(f"probability is identically 1 at t0={t0}; no sigma data there")
-    if isinstance(f, PV):
-        return SigmaInit(t0, t0 * L1, L1 + t0 * L2, 2 * L2 + t0 * L3, log_f0=L0)
-    if isinstance(f, PVI):
-        b1, b2, b3, b4 = f.b
-        P = t0 * (1.0 - t0)
-        Pp = 1.0 - 2.0 * t0
-        s = P * L1 + b1 * b2 * t0 - 0.5 * (b1 * b2 + b3 * b4)
-        sp = Pp * L1 + P * L2 + b1 * b2
-        spp = -2 * L1 + 2 * Pp * L2 + P * L3
-        return SigmaInit(t0, s, sp, spp, log_f0=L0)
-    raise TypeError(f"unknown family {f!r}")
-
-
-def gap_ensemble(f: SigmaFamily):
-    """The gap ensemble whose largest-eigenvalue CDF the family transports:
-    GUE(k) for PIV, LUE(k, alpha) for PV and the JUE of ``jue_from_pvi`` for
-    PVI.  The ensemble refuses a size that is not a positive integer."""
-    if isinstance(f, PIV):
-        return _gap.GUE(f.k)
-    if isinstance(f, PV):
-        return _gap.LUE(f.k, f.alpha)
-    if isinstance(f, PVI):
-        return _gap.JUE(*jue_from_pvi(f))
-    raise TypeError(f"unknown family {f!r}")
+    return f.sigma_init(t0, L0, L1, L2, L3)
 
 
 def init_from_gap(f: SigmaFamily, t0: float) -> SigmaInit:
-    """``sigma_data`` at t0 from the largest-eigenvalue CDF of
-    ``gap_ensemble(f)``."""
-    ens = gap_ensemble(f)
+    """``sigma_data`` at t0 from the largest-eigenvalue CDF of ``f.ensemble()``."""
+    ens = f.ensemble()
     return sigma_data(f, lambda x: _gap.log_gap_cdf(ens, x), t0)
 
 
@@ -361,7 +356,7 @@ class _Segment:
         """Gauss-Legendre integrals over each [a_i, b_i], from one dense call."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         ts = mid[:, None] + half[:, None] * _GL_NODES
-        vals = transport_integrand(self.family, ts, self.dense(ts.ravel())[0].reshape(ts.shape))
+        vals = self.family.integrand(ts, self.dense(ts.ravel())[0].reshape(ts.shape))
         # each row as a fresh list: np.dot on row views can round differently
         return [h * float(np.dot(_GL_WEIGHTS, v.tolist())) if h else 0.0
                 for h, v in zip(half, vals)]
@@ -399,14 +394,6 @@ class SigmaSolution:
         return self._segment(t).log_f(t)
 
 
-def _ode_rhs(f: SigmaFamily):
-    def rhs(t, y):
-        s, sp, spp = y[0], y[1], y[2]
-        return [sp, spp, sigma_ppp(f, t, s, sp, spp)]
-
-    return rhs
-
-
 _SEGMENT_NFEV = 100_000  # legitimate segments have spent at most 947
 
 
@@ -414,15 +401,15 @@ def _integrate_segment(f, t0, y0, t1):
     """One DOP853 solve from t0 to t1, refused with SolveError once it has
     spent _SEGMENT_NFEV right-hand-side evaluations: a seed off the solution
     otherwise creeps toward t1 for minutes while its dense output grows."""
-    ode, nfev = _ode_rhs(f), 0
+    nfev = 0
 
-    def rhs(t, y):
+    def rhs(t, y):  # (sigma, sigma', sigma'')' on the flow of the sigma-form
         nonlocal nfev
         nfev += 1
         if nfev > _SEGMENT_NFEV:
             raise SolveError(f"integration from {t0} to {t1} spent {_SEGMENT_NFEV} "
                              f"evaluations; the seed is likely off the solution")
-        return ode(t, y)
+        return [y[1], y[2], f.sigma_ppp(t, y[0], y[1], y[2])]
 
     sol = _integrate.solve_ivp(
         rhs,
@@ -574,12 +561,12 @@ def piv_solution(k: float) -> SigmaSolution:
              if k < _PIV_CONTINUE else _piv_guess(k, mesh))
     left = _piv_left(k, lo)[0]
     g, d1, d2 = _piv_tail_g(k, hi)
-    ode, nfev = _ode_rhs(f), 0
+    nfev = 0
 
     def rhs(t, y):
         nonlocal nfev
         nfev += t.size
-        return np.asarray(ode(t, y))
+        return np.asarray([y[1], y[2], f.sigma_ppp(t, y[0], y[1], y[2])])
 
     def bc(ya, yb):
         return np.array([ya[0] - left, yb[1] - d1 * yb[0], yb[2] - d2 * yb[0]])

@@ -20,7 +20,8 @@ __all__ = [
 
 def integer(x: float) -> int | None:
     """round(x) if x is within 1e-12 relative of it, else None; the slack
-    covers one-ulp round trips such as ``jue_from_pvi``'s b1 - b3."""
+    covers sizes and exponents computed in floats that land an ulp off an
+    integer, such as 2.05 - 1.05 = 0.9999999999999998."""
     r = round(x)
     return int(r) if abs(x - r) <= 1e-12 * max(1.0, abs(x)) else None
 

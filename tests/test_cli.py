@@ -430,9 +430,14 @@ def test_exact_agreement_over_returned_routes(capsys):
          "--x", "1e-300"],
         ["gap", "--ensemble", "lue", "--k", "2", "--x", "1e50"],
         ["asym", "--expansion", "edge", "--n", "8", "--k", "1", "--z", "1e10"],
+        # each once "error: (34, 'Numerical result out of range')", from the sigma-form
+        ["painleve", "--family", "p5", "--k", "1", "--x", "1e-60"],
+        ["painleve", "--family", "p6", "--k", "1", "--alpha", "1", "--beta", "2",
+         "--x", "1e-60"],
     ],
     ids=["piv-residual-gate", "piv-f-overflows", "pv-step-underflows", "pvi-step-underflows",
-         "lue-tail-zero-window", "gue-zero-window"],
+         "lue-tail-zero-window", "gue-zero-window", "pv-sigma-form-overflows",
+         "pvi-sigma-form-overflows"],
 )
 def test_numerical_refusal_exits_1_with_one_line(capsys, argv):
     code = main(argv)

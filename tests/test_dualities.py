@@ -468,6 +468,38 @@ def test_correlator_rotational_invariance():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("model, exponent, r, m", [
+    (Ginibre(800), 8.0, 1.3, 4),  # 0.51 off in ln before the refusal
+    (Ginibre(800), 8.0, 2.0, 4),  # 5.4 off
+    (Ginibre(200), 10.0, 1.5, 5),  # 2.7 off
+    (TruncatedCUE(802, 800), 8.0, 1.3, 4),  # 0.3 off
+])
+def test_correlator_refuses_coincident_charges_outside_its_envelope(model, exponent, r, m):
+    with pytest.raises(ValueError, match=f"{m} coincident charges"):
+        correlator_finiteN(model, ChargeConfiguration((r,), (exponent,)))
+
+
+def test_correlator_counts_coincident_charges_over_the_configuration():
+    # two charges of exponent 4 at one point are four coincident charges
+    with pytest.raises(ValueError, match="4 coincident charges"):
+        correlator_finiteN(Ginibre(800), ChargeConfiguration((0.5, 0.5), (4.0, 4.0)))
+    # one or two coincident charges are never refused
+    assert correlator_finiteN(Ginibre(800), ChargeConfiguration((2.0,), (4.0,))) == pytest.approx(
+        ginibre_moment_exact(800, 2, 2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("model, k, r", [
+    (Ginibre(64), 3, 1.5),  # N|z|^2 = 144 <= 150
+    (Ginibre(8), 8, 0.75),  # N|z|^2 = 4.5 <= 5
+    (TruncatedCUE(66, 64), 4, 0.75),  # N|z|^2 = 36 <= 40
+])
+def test_correlator_inside_its_envelope_matches_exact(model, k, r):
+    got = correlator_finiteN(model, ChargeConfiguration((r,), (2.0 * k,)))
+    want = (ginibre_moment_exact(model.n, k, r) if isinstance(model, Ginibre)
+            else tcue_moment_exact(model.m, model.n, k, r, r))
+    assert abs(got - want) <= 1e-8
+
+
 def test_correlator_exponent_parity_guard():
     with pytest.raises(ValueError):
         correlator_finiteN(GinibreWeight(4), ChargeConfiguration((0.0,), (1.5,)))

@@ -14,11 +14,9 @@ from charpoly.painleve import (
     F_from_sigma,
     SigmaInit,
     SolveError,
-    gap_ensemble,
     heqn_lhs,
     heqn_params,
     init_from_gap,
-    jue_from_pvi,
     log_derivatives,
     p5_to_p4_residual,
     p6_to_p5_residual,
@@ -47,7 +45,7 @@ def test_residual_zero_solution():
     # sigma = 0 solves PIV for any k and PV with zero parameter products
     assert residual(PIV(1.3), 0.7, 0.0, 0.0, 0.0) == 0.0
     assert residual(PV(0.0, 0.0), 2.0, 0.0, 0.0, 0.0) == 0.0
-    fam = PVI((0.0, 0.0, 0.0, 0.0))
+    fam = PVI(0.0, 0.0, 0.0)  # b = (0, 0, 0, 0)
     assert residual(fam, 0.4, 0.0, 0.0, 0.0) == 0.0
 
 
@@ -64,7 +62,7 @@ def test_residual_singular_points_rejected():
     with pytest.raises(ValueError):
         residual(PV(1.0, 2.0), -1.0, 0.1, 0.1, 0.1)  # PV lives on t > 0
     with pytest.raises(ValueError):
-        residual(PVI((1.0, 1.0, 0.5, 0.5)), 1.0, 0.1, 0.1, 0.1)
+        residual(PVI(0.5, 0.0, 1.0), 1.0, 0.1, 0.1, 0.1)  # b = (1, 1, 1/2, 1/2)
 
 
 def test_pv_residual_from_lue_tail_data():
@@ -295,6 +293,14 @@ def test_init_residual_gate():
         solve_span(PV(1.0, 2.0), bad, 1.0, 4.0, tol=1e-8)
 
 
+@pytest.mark.parametrize("fam, sp", [(PV(1.0, 0.0), 6.5e50), (PVI(1.0, 1.0, 2.0), 1e47)])
+def test_sigma_form_overflow_names_the_family_and_t(fam, sp):
+    # (A/t)^2 in PV, (C/P)^2 in PVI: once a bare OverflowError with no route or t
+    name = type(fam).__name__
+    with pytest.raises(FloatingPointError, match=f"{name} sigma-form overflows the floats at t=5e-61"):
+        sigma_pp_roots(fam, 5e-61, 1.0, sp)
+
+
 def test_sigma_pp_roots_branch_error():
     with pytest.raises(BranchError):
         sigma_pp_roots(PIV(1.0), 0.0, 0.0, 1.0)  # disc = -4 < 0
@@ -345,12 +351,12 @@ def test_f_from_sigma_span_guard():
 def test_pvi_parameter_maps():
     fam = pvi_from_jue(1.0, 1.0, 2.0)
     assert fam.b == (2.5, 2.5, 1.5, 0.5)
-    assert jue_from_pvi(fam) == pytest.approx((1.0, 1.0, 2.0))
-    # b1 - b3 comes back one ulp off 1 here; the JUE still has size 1
-    fam = pvi_from_jue(1.0, 0.1, 2.0)
-    assert jue_from_pvi(fam)[0] != 1.0 and gap_ensemble(fam).k == 1
+    assert fam.ensemble() == JUE(1, 1.0, 2.0)
+    # b does not give this JUE back (b3 - b4 reads 0.1 + 9e-17), so the
+    # family keeps (k, alpha, beta) itself
+    assert pvi_from_jue(1.0, 0.1, 2.0).ensemble() == JUE(1, 0.1, 2.0)
     with pytest.raises(ValueError, match="integer size"):
-        gap_ensemble(pvi_from_jue(1.5, 0.1, 2.0))
+        pvi_from_jue(1.5, 0.1, 2.0).ensemble()
 
 
 def test_heqn_change_of_variable_identity():
