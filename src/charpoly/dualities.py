@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
-from scipy.linalg import cholesky_banded
+from scipy.linalg import lapack as _lapack
 
 from . import confluent as _confluent
 from . import gap as _gap
@@ -185,13 +185,17 @@ def _log_gram_det(weight: RadialWeightSpec, gamma: float, z: complex) -> float:
     (N >= 400, ||z| - 1| <= 0.05) gamma = 4 stays 1e-9 to 3e-8 off: round-off."""
     n, c = weight.n, abs(complex(z))
     even, tcue = integer(0.5 * gamma) is not None, isinstance(weight, TruncatedCUE)
-    if (gamma < -1.95 or 0.0 < abs(gamma + 1.0) < 1e-3 or (not even and n > 64)
-            or (tcue and n >= 400 and abs(c - 1.0) <= 0.05)
-            or (even and gamma >= 6 and n > 2.0 ** (8 - gamma / 2)
-                and not (gamma == 6 and c >= 1.3 and n <= 800))):
-        raise ValueError("outside the Gram route's envelope: gamma >= -1.95, |gamma + 1| = 0 or "
-                         ">= 1e-3, N <= 64 for non-even gamma, tCUE N < 400 at ||z| - 1| <= 0.05, "
-                         "N <= 2^(8 - gamma/2) at even gamma >= 6 (800 at gamma = 6, |z| >= 1.3)")
+    for bad, need in ((gamma < -1.95, "gamma >= -1.95"),
+                      (0.0 < abs(gamma + 1.0) < 1e-3, "|gamma + 1| = 0 or >= 1e-3"),
+                      (not even and n > 64, "N <= 64 for non-even gamma"),
+                      (tcue and n >= 400 and abs(c - 1.0) <= 0.05,
+                       "tCUE N < 400 at ||z| - 1| <= 0.05"),
+                      (even and gamma >= 6 and n > 2.0 ** (8 - gamma / 2)
+                       and not (gamma == 6 and c >= 1.3 and n <= 800),
+                       "N <= 2^(8 - gamma/2) at even gamma >= 6 (800 at gamma = 6, |z| >= 1.3)")):
+        if bad:
+            raise ValueError(f"outside the Gram route's envelope: needs {need} "
+                             f"(N = {n}, gamma = {gamma:g}, |z| = {c:.6g})")
     if gamma == 0.0:
         return 0.0
     if tcue:
@@ -206,35 +210,55 @@ def _log_gram_det(weight: RadialWeightSpec, gamma: float, z: complex) -> float:
         sides = ([(-1.0, 0.0, c)] if c > 0 else []) + ([(1.0, 0.0, r_hi - c)] if r_hi > c else [])
     # s_max: an unbounded singular part carries < 1e-17 nearer |z| than e^{-39/(2+gamma)}
     s_max = 3.3 if gamma > -1.0 else min(6.1, math.asinh(39.0 / (math.pi * (2.0 + gamma))))
-    s = np.arange(-math.ceil(3.3 / h), math.ceil(s_max / h) + 1) * h
-    t, u = _sp.expit(-math.pi * np.sinh(s)), _sp.expit(math.pi * np.sinh(s))
+    t, u, cosh_s = _tanh_sinh(h, s_max)
     cols = []
     for sign, d0, d1 in sides:  # offsets from the near and far end; inner sides end at 0
         near, far = (d1 - d0) * t, (d1 - d0) * u
         d = d0 + near
         r = far if sign < 0 else c + d
         y = d * (2.0 * c + sign * d) / np.maximum(r, c) ** 2 if c > 0 else np.ones_like(r)
-        wt = (d1 - d0) * h * math.pi * np.cosh(s) * t * u
-        cols.append(np.stack([r, wt, y])[:, (near > 0) & (far > 0) & (wt > 0)])
-    r, wt, y = np.concatenate(cols, axis=1)
+        wt = (d1 - d0) * h * math.pi * cosh_s * t * u
+        keep = (near > 0) & (far > 0) & (wt > 0)
+        cols.append((r[keep], wt[keep], y[keep]))
+    r, wt, y = (np.concatenate(a) for a in zip(*cols))
     big = np.maximum(r, c)
-    log_w = _sp.xlog1py(weight.m - n - 1.0, -r * r) if tcue else 2.0 * g1 * np.log(r) - n * r * r
-    lp = 0.5 * (
-        _kernel_coeffs(weight, n)[:, None] + (2.0 * np.arange(n)[:, None] + 1.0) * np.log(r)
-        + log_w + gamma * np.log(big) + np.log(2.0 * math.pi * wt)
-    )
-    p = np.exp(np.where(lp > -340.0, lp, -np.inf))  # p_j p_k stays a normal float
-    e = _angular_coeffs(gamma, np.minimum(r, c) / big, y, n)
-    ln_rho = np.log(np.maximum(np.minimum(r, c) / big, 1e-300))
-    ab = np.zeros((len(e), n))
+    rho, ln_r = np.minimum(r, c) / big, np.log(r)
+    # lp = (ln(1/h_j) + (2j + 1) ln r + ln w + gamma ln big + ln(2 pi wt)) / 2, in place
+    lp = (2.0 * np.arange(n)[:, None] + 1.0) * ln_r
+    lp += _kernel_coeffs(weight, n)[:, None]
+    lp += _sp.xlog1py(weight.m - n - 1.0, -r * r) if tcue else 2.0 * g1 * ln_r - n * r * r
+    lp += gamma * np.log(big)
+    lp += np.log(2.0 * math.pi * wt)
+    lp *= 0.5
+    lp[~(lp > -340.0)] = -np.inf  # p_j p_k stays a normal float
+    p = np.exp(lp, out=lp)
+    e = _angular_coeffs(gamma, rho, y, n)
+    ln_rho = np.log(np.maximum(rho, 1e-300))
+    ab = np.zeros((len(e), n), order="F")
     for m, em in enumerate(e):
-        lr = m * ln_rho
-        ab[-1 - m, m:] = (p[: n - m] * p[m:]) @ (np.exp(np.where(lr > -300.0, lr, -np.inf)) * em)
+        if m:  # rho^0 = 1 exactly
+            lr = m * ln_rho
+            em = np.exp(np.where(lr > -300.0, lr, -np.inf)) * em
+        ab[-1 - m, m:] = (p[: n - m] * p[m:]) @ em
     ab[np.abs(ab) < 1e-200 * np.max(ab[-1])] = 0.0  # subnormals slow the factorisation 100x
-    try:
-        return 2.0 * float(np.sum(np.log(cholesky_banded(ab)[-1])))
-    except np.linalg.LinAlgError as exc:
-        raise FloatingPointError(f"Gram matrix lost positivity ({exc})") from None
+    if not np.isfinite(ab).all():
+        raise FloatingPointError("Gram matrix is not finite")
+    chol, info = _lapack.dpbtrf(ab, overwrite_ab=1)
+    if info:
+        raise FloatingPointError(f"Gram matrix lost positivity ({info}-th leading minor "
+                                 "not positive definite)")
+    return 2.0 * float(np.sum(np.log(chol[-1])))
+
+
+@lru_cache(maxsize=64)
+def _tanh_sinh(h: float, s_max: float):
+    """(t, u, cosh s) of the tanh-sinh rule of step h on s in [-3.3, s_max],
+    t, u = expit(-+pi sinh s), as read-only arrays."""
+    s = np.arange(-math.ceil(3.3 / h), math.ceil(s_max / h) + 1) * h
+    out = _sp.expit(-math.pi * np.sinh(s)), _sp.expit(math.pi * np.sinh(s)), np.cosh(s)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def ginibre_moment_toeplitz(n: int, gamma: float, z: complex) -> float:
@@ -396,26 +420,23 @@ def lemniscate_partition(n: int, d: int, t: float) -> float:
 # generic polynomial-kernel correlator for radial weights
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def _kernel_coeffs(w: RadialWeightSpec, nterms: int) -> np.ndarray:
-    """ln(1/h_j) for j = 0..nterms-1 (B(x,y) = sum_j x^j y^j / h_j)."""
+    """ln(1/h_j) for j = 0..nterms-1 (B(x,y) = sum_j x^j y^j / h_j), read-only."""
     j = np.arange(nterms, dtype=float)
     if isinstance(w, Ginibre):
-        return (j + 1.0) * math.log(w.n) - math.log(math.pi) - _sp.gammaln(j + 1.0)
-    if isinstance(w, InducedGinibre):
-        return (
-            (j + w.gamma1 + 1.0) * math.log(w.n)
-            - math.log(math.pi)
-            - _sp.gammaln(j + w.gamma1 + 1.0)
-        )
-    if isinstance(w, TruncatedCUE):
+        out = (j + 1.0) * math.log(w.n) - math.log(math.pi) - _sp.gammaln(j + 1.0)
+    elif isinstance(w, InducedGinibre):
+        out = ((j + w.gamma1 + 1.0) * math.log(w.n) - math.log(math.pi)
+               - _sp.gammaln(j + w.gamma1 + 1.0))
+    elif isinstance(w, TruncatedCUE):
         kap = w.m - w.n
-        return (
-            _sp.gammaln(j + kap + 1.0)
-            - math.log(math.pi)
-            - _sp.gammaln(j + 1.0)
-            - _sp.gammaln(float(kap))
-        )
-    raise TypeError(f"unknown weight {w!r}")
+        out = (_sp.gammaln(j + kap + 1.0) - math.log(math.pi) - _sp.gammaln(j + 1.0)
+               - _sp.gammaln(float(kap)))
+    else:
+        raise TypeError(f"unknown weight {w!r}")
+    out.flags.writeable = False
+    return out
 
 
 def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
@@ -426,7 +447,9 @@ def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
     (nearby ones enter through Newton divided differences, see ``confluent``).
 
     Envelope: m >= 3 charges at one point lose digits as m and N|z|^2 grow
-    (0.51 off in ln at m = 4, N = 800, |z| = 1.3).  Measured against the
+    (0.51 off in ln at m = 4, N = 800, |z| = 1.3); charges within
+    ``confluent.CLUSTER_RADIUS`` of a cluster's first one count as coincident
+    there (1.3 + 1e-10 for one 1.3 above read 1.42 off).  Measured against the
     exact dualities (Ginibre, truncated CUE at M = N + 2), they are refused
     (ValueError) unless m <= 8, 8 <= N <= 800, |z| <= 2 and N|z|^2 <= 150,
     40, 18, 10, 8, 5 for m = 3..8, where they stay within 1e-8.
@@ -444,8 +467,8 @@ def correlator_finiteN(w: RadialWeightSpec, charges) -> float:
         return 0.0  # empty product of characteristic polynomials
     n = w.n
     bounds = {3: 150.0, 4: 40.0, 5: 18.0, 6: 10.0, 7: 8.0, 8: 5.0}  # N|z|^2 for m charges
-    for z in set(pts):
-        m, x = sum(kk for p, kk in zip(pts, ks) if p == z), n * abs(z) ** 2
+    for cl in _confluent._group(pts, range(len(pts)), _confluent.CLUSTER_RADIUS):
+        z, m, x = cl.centre, sum(ks[i] for i in cl.members), n * abs(cl.centre) ** 2
         if m > 2 and not (8 <= n <= 800 and abs(z) <= 2.0 and x <= bounds.get(m, -1.0)):
             need = f"need N|z|^2 <= {bounds[m]:g}" if m in bounds else "are more than 8"
             raise ValueError(f"outside the correlator's envelope (8 <= N <= 800, |z| <= 2): {m} "

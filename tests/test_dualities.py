@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from charpoly import dualities
 from charpoly.asymptotics import tcue_edge
 from charpoly.dualities import (
     GinibreWeight,
@@ -166,6 +167,60 @@ def test_gram_refuses_outside_its_envelope():
         ginibre_moment_toeplitz(4, -1.99, 0.5)
     with pytest.raises(ValueError, match=r"\|gamma \+ 1\| = 0 or >= 1e-3"):
         ginibre_moment_toeplitz(4, -1.0005, 0.5)
+
+
+_GRAM_CLAUSES = ("gamma >= -1.95", "|gamma + 1| = 0 or >= 1e-3", "N <= 64 for non-even gamma",
+                 "tCUE N < 400", "N <= 2^(8 - gamma/2)")
+
+
+@pytest.mark.parametrize("model, gamma, z, clause", [
+    (Ginibre(4), -1.99, 0.5, 0), (Ginibre(4), -1.0005, 0.5, 1), (Ginibre(100), 1.3, 0.45, 2),
+    (TruncatedCUE(402, 400), 2.0, 1.0, 3), (Ginibre(200), 10.0, 0.81, 4),
+])
+def test_gram_refusal_names_only_the_clause_that_failed(model, gamma, z, clause):
+    with pytest.raises(ValueError, match="envelope") as info:
+        dualities._log_gram_det(model, gamma, z)
+    named = [c for c in _GRAM_CLAUSES if c in str(info.value)]
+    assert named == [_GRAM_CLAUSES[clause]]
+
+
+def test_gram_route_reuses_its_cached_rule_and_coefficients():
+    first = ginibre_moment_toeplitz(32, 2.0, 0.3)
+    ginibre_moment_toeplitz(32, 2.0, 9.0)  # past r_hi: a step of its own
+    assert ginibre_moment_toeplitz(32, 2.0, 0.3) == first
+    for a in (*dualities._tanh_sinh(0.1, 3.3), dualities._kernel_coeffs(Ginibre(8), 8)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_gram_refuses_a_non_finite_band(monkeypatch):
+    monkeypatch.setattr(dualities, "_angular_coeffs",
+                        lambda gamma, rho, y, n: [np.full_like(y, np.nan)] * 2)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        ginibre_moment_toeplitz(8, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("model, gamma, z, want", [
+    # values pinned to rel 1e-13, not bit for bit, since numpy builds differ
+    # in the last ulp: |z| = 0, |z| past r_hi (Ginibre(8) at gamma = 2:
+    # r_hi = 3.69), gamma < -1 (a longer rule), and both truncated-CUE
+    # branches (|z| < 1: two sides, |z| >= 1: one)
+    (Ginibre(8), 2.0, 0.5, -4.031166906216789),
+    (Ginibre(8), 2.0, 0.0, -6.0309294306934484),
+    (Ginibre(8), 2.0, 4.0, 22.24470250459645),
+    (Ginibre(32), 4.0, 1.0, 6.877688614462997),
+    (Ginibre(8), 1.3, 0.5, -2.917100693356848),
+    (Ginibre(8), -1.5, 0.5, 5.619833254520811),
+    (Ginibre(16), -0.5, 1.4, -2.645815257650142),
+    (InducedGinibre(8, 1.0), 2.0, 0.5, -2.672319269076121),
+    (InducedGinibre(20, 2.5), 1.3, 1.4, 9.090486880232211),
+    (TruncatedCUE(20, 12), 3.5, 1.0, 2.46162798829529),
+    (TruncatedCUE(20, 12), 2.0, 0.5, -9.155032105288807),
+    (TruncatedCUE(8, 6), -1.5, 1.4, -2.7512426645124113),
+    (TruncatedCUE(8, 6), 4.0, 0.0, -5.817111159963204),
+])
+def test_gram_route_keeps_its_values(model, gamma, z, want):
+    assert dualities._log_gram_det(model, gamma, z) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("n, k, z", [(800, 2, 1.45), (200, 3, 1.4 * cmath.exp(0.7j))])
@@ -486,6 +541,14 @@ def test_correlator_counts_coincident_charges_over_the_configuration():
     # one or two coincident charges are never refused
     assert correlator_finiteN(Ginibre(800), ChargeConfiguration((2.0,), (4.0,))) == pytest.approx(
         ginibre_moment_exact(800, 2, 2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("eps", [1e-14, 1e-10, 1e-8])
+def test_correlator_refuses_nearly_coincident_charges_outside_its_envelope(eps):
+    # charges within confluent.CLUSTER_RADIUS count as coincident; these read
+    # 0.28, -1.42 and -0.17 off ginibre_moment_exact(800, 4, 1.3) unrefused
+    with pytest.raises(ValueError, match="4 coincident charges"):
+        correlator_finiteN(Ginibre(800), ChargeConfiguration((1.3, 1.3 + eps), (4.0, 4.0)))
 
 
 @pytest.mark.parametrize("model, k, r", [
